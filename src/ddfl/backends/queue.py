@@ -1,11 +1,9 @@
-"""Queue backend: broker-style FIFO transport with a read-side index.
+"""Queue backend: broker-style named FIFO queues beside the contract records.
 
-Contract writes are enqueued as messages (client models to the "master"
-queue, globals to the "global" queue). Contract reads first drain those
-queues into an index keyed by StoreKey, so retrieval by key keeps working
-even though transport is a message stream. The enqueue/dequeue extension
-exposes arbitrary named queues ("client-0", ...) with blocking, at-most-
-once consumption.
+Contract records live in the memory backend's locked dict, so ``put`` is
+insert-only and reads by key never consume anything. The enqueue/dequeue
+extension exposes arbitrary named queues ("client-0", ...) with blocking,
+at-most-once consumption; contract records never enter them.
 """
 
 from __future__ import annotations
@@ -14,78 +12,19 @@ import threading
 import time
 from collections import deque
 
-from ..errors import DequeueTimeout, DuplicateKeyError, NotFoundError
-from ..store import (
-    GLOBAL_CLIENT_ID,
-    ModelRecord,
-    ModelStore,
-    StoreKey,
-    check_fetch_round_args,
-)
-
-MASTER_QUEUE = "master"
-GLOBAL_QUEUE = "global"
-_CONTRACT_QUEUES = (MASTER_QUEUE, GLOBAL_QUEUE)
+from ..errors import DequeueTimeout
+from ..store import ModelRecord
+from .memory import MemoryStore
 
 
-class QueueStore(ModelStore):
+class QueueStore(MemoryStore):
     def __init__(self, namespace: str):
         super().__init__(namespace)
-        self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._queues: dict[str, deque[ModelRecord]] = {}
-        self._index: dict[StoreKey, ModelRecord] = {}
 
     def _queue(self, name: str) -> deque:
         return self._queues.setdefault(name, deque())
-
-    def _drain_locked(self) -> None:
-        for name in _CONTRACT_QUEUES:
-            q = self._queues.get(name)
-            while q:
-                record = q.popleft()
-                self._index[record.key] = record
-
-    def _key_exists_locked(self, key: StoreKey) -> bool:
-        self._drain_locked()
-        return key in self._index
-
-    # --- ModelStore contract ------------------------------------------
-
-    def put(self, record: ModelRecord) -> None:
-        destination = GLOBAL_QUEUE if record.key.is_global else MASTER_QUEUE
-        with self._not_empty:
-            if self._key_exists_locked(record.key):
-                raise DuplicateKeyError(f"{record.key} already stored in {self.namespace!r}")
-            self._queue(destination).append(record)
-            self._not_empty.notify_all()
-
-    def get(self, key: StoreKey) -> ModelRecord:
-        with self._lock:
-            self._drain_locked()
-            try:
-                return self._index[key]
-            except KeyError:
-                raise NotFoundError(f"{key} not in {self.namespace!r}") from None
-
-    def fetch_round(self, round_number: int, expected_clients: int) -> list[ModelRecord]:
-        check_fetch_round_args(round_number)
-        with self._lock:
-            self._drain_locked()
-            hits = [
-                rec
-                for key, rec in self._index.items()
-                if key.round == round_number and key.client_id >= 0
-            ]
-        return sorted(hits, key=lambda rec: (rec.key.client_id, rec.key.iteration))
-
-    def latest_round(self) -> int:
-        with self._lock:
-            self._drain_locked()
-            rounds = [
-                key.round for key in self._index if key.client_id == GLOBAL_CLIENT_ID
-            ]
-        return max(rounds, default=0)
 
     # --- broker extension ---------------------------------------------
 

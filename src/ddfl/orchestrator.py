@@ -1,11 +1,16 @@
-"""The round protocol: N client workers and a master, talking only through a store.
+"""The round protocol: N clients and a master, talking only through a store.
 
 Each round, every client fetches the previous global model, decrypts it,
 trains on its own shard, and stores its encrypted local model. The master
-polls until all N client records exist (the barrier), decrypts and
-aggregates them, evaluates the new global on the test set, and stores it
-encrypted with accuracy and elapsed time filled in. Model values are
-fully deterministic for fixed seeds; only timings vary.
+polls until the records of clients 0..N-1 exist (the barrier), decrypts
+and aggregates them, evaluates the new global on the test set, and stores
+it encrypted with accuracy and elapsed time filled in.
+
+``run_experiment`` runs each round's clients one after another in the
+caller's thread, then the master's ``run_round``; a crashing client
+therefore fails the round at once. ``run_round`` keeps its barrier for
+clients driven from elsewhere. Model values are fully deterministic for
+fixed seeds; only timings vary.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import enum
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +32,9 @@ from .store import ModelRecord, ModelStore, StoreKey, now_ms
 from .training import TrainConfig, evaluate, local_train
 
 log = logging.getLogger(__name__)
+
+# How long the barrier sleeps between two fetch_round polls.
+POLL_INTERVAL_MS = 5.0
 
 
 class Aggregation(enum.Enum):
@@ -68,7 +75,6 @@ class ExperimentConfig:
     seed: int = 0
     aggregation: Aggregation = Aggregation.SAMPLE_WEIGHTED
     barrier_timeout_ms: int = 30_000
-    poll_interval_ms: float = 5.0
 
     def __post_init__(self):
         if self.n_clients < 1:
@@ -162,22 +168,27 @@ def run_client_round(
 
 
 def _await_round(
-    store: ModelStore,
-    round_number: int,
-    expected: int,
-    timeout_ms: float,
-    poll_interval_ms: float,
+    store: ModelStore, round_number: int, expected: int, timeout_ms: float
 ) -> list[ModelRecord]:
+    """The iteration-0 records of clients 0..expected-1, sorted by client id.
+
+    Records of other clients or iterations are ignored, so a stray or extra
+    record can neither complete the barrier nor enter the aggregate.
+    """
     deadline = time.monotonic() + timeout_ms / 1000.0
     while True:
-        records = store.fetch_round(round_number, expected)
-        if len(records) >= expected:
+        records = [
+            rec
+            for rec in store.fetch_round(round_number, expected)
+            if rec.key.iteration == 0 and rec.key.client_id < expected
+        ]
+        if len(records) == expected:
             return records
         if time.monotonic() >= deadline:
             present = {rec.key.client_id for rec in records}
             missing = sorted(set(range(expected)) - present)
             raise BarrierTimeoutError(round_number, missing)
-        time.sleep(poll_interval_ms / 1000.0)
+        time.sleep(POLL_INTERVAL_MS / 1000.0)
 
 
 def run_round(
@@ -185,19 +196,25 @@ def run_round(
     store: ModelStore,
     cfg: ExperimentConfig,
     test_set: Dataset,
-    shard_sizes: list[int] | None = None,
+    shard_sizes: list[int],
+    round_started: float | None = None,
 ) -> RoundOutcome:
-    """Master's side of one round: barrier, aggregate, evaluate, publish."""
-    start = time.perf_counter()
-    records = _await_round(
-        store, round_number, cfg.n_clients, cfg.barrier_timeout_ms, cfg.poll_interval_ms
-    )
+    """Master's side of one round: barrier, aggregate, evaluate, publish.
+
+    ``shard_sizes[c]`` is client c's sample count, its weight under
+    sample-weighted aggregation. ``round_started`` is the
+    ``time.perf_counter()`` reading at which the round's clients began;
+    the round's wall time, reported and stored with the new global, is
+    measured from it (default: the call to this function).
+    """
+    start = time.perf_counter() if round_started is None else round_started
+    if len(shard_sizes) != cfg.n_clients:
+        raise ValidationError(f"{len(shard_sizes)} shard sizes for {cfg.n_clients} clients")
+    records = _await_round(store, round_number, cfg.n_clients, cfg.barrier_timeout_ms)
     previous = store.fetch_global(round_number - 1)
     models = [deserialize_params(decrypt(cfg.group_key, rec.payload)) for rec in records]
     if cfg.aggregation is Aggregation.SAMPLE_WEIGHTED:
-        if shard_sizes is None:
-            shard_sizes = _derived_shard_sizes(cfg)
-        weights = [float(s) for s in shard_sizes]
+        weights = [float(shard_sizes[rec.key.client_id]) for rec in records]
     else:
         weights = [1.0] * len(models)
     new_global = aggregate(models, weights)
@@ -223,17 +240,6 @@ def run_round(
         bytes_written=client_bytes + len(token),
         bytes_read=cfg.n_clients * len(previous.payload) + client_bytes,
     )
-
-
-def _derived_shard_sizes(cfg: ExperimentConfig) -> list[int]:
-    if isinstance(cfg.dataset, SyntheticSpec):
-        n = cfg.dataset.n
-    else:
-        raise ValidationError(
-            "shard sizes cannot be derived for IDX datasets; pass shard_sizes explicitly"
-        )
-    k = cfg.n_clients
-    return [n // k + (1 if i < n % k else 0) for i in range(k)]
 
 
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -277,42 +283,30 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundOutcome]:
         log.info("round 0: initial accuracy %.4f", baseline.accuracy)
 
         outcomes = []
-        with ThreadPoolExecutor(max_workers=cfg.n_clients) as pool:
-            for round_number in range(1, cfg.rounds + 1):
-                futures = [
-                    pool.submit(
-                        run_client_round,
-                        client_id,
-                        round_number,
-                        store,
-                        cfg.group_key,
-                        shards[client_id],
-                        TrainConfig(
-                            learning_rate=cfg.train.learning_rate,
-                            epochs=cfg.train.epochs,
-                            batch_size=min(cfg.train.batch_size, len(shards[client_id])),
-                            seed=client_seed(cfg.train.seed, round_number, client_id),
-                        ),
-                    )
-                    for client_id in range(cfg.n_clients)
-                ]
-                try:
-                    outcome = run_round(round_number, store, cfg, test, shard_sizes)
-                except BarrierTimeoutError:
-                    # A dead client is more informative than the timeout itself.
-                    for future in futures:
-                        if future.done() and future.exception() is not None:
-                            raise future.exception()
-                    raise
-                for future in futures:
-                    future.result()
-                outcomes.append(outcome)
-                log.info(
-                    "round %d: accuracy %.4f (%.1f ms)",
+        for round_number in range(1, cfg.rounds + 1):
+            round_started = time.perf_counter()
+            for client_id, shard in enumerate(shards):
+                run_client_round(
+                    client_id,
                     round_number,
-                    outcome.global_accuracy,
-                    outcome.round_wall_ms,
+                    store,
+                    cfg.group_key,
+                    shard,
+                    TrainConfig(
+                        learning_rate=cfg.train.learning_rate,
+                        epochs=cfg.train.epochs,
+                        batch_size=min(cfg.train.batch_size, len(shard)),
+                        seed=client_seed(cfg.train.seed, round_number, client_id),
+                    ),
                 )
+            outcome = run_round(round_number, store, cfg, test, shard_sizes, round_started)
+            outcomes.append(outcome)
+            log.info(
+                "round %d: accuracy %.4f (%.1f ms)",
+                round_number,
+                outcome.global_accuracy,
+                outcome.round_wall_ms,
+            )
         return outcomes
     finally:
         store.close()

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -215,16 +217,58 @@ def test_run_round_barrier_timeout_names_missing():
     assert "0" in str(excinfo.value) and "2" in str(excinfo.value)
 
 
+def test_run_round_rejects_shard_sizes_for_another_client_count():
+    cfg = memory_cfg(n_clients=2)
+    store, train, test, initial = setup_store_with_initial(cfg)
+    with pytest.raises(ValidationError):
+        run_round(1, store, cfg, test, shard_sizes=[50])
+
+
 def test_run_round_global_record_has_schema_columns():
     cfg = memory_cfg(train=TrainConfig(0.1, 1, 16, seed=0))
     store, train, test, initial = setup_store_with_initial(cfg)
     shards = [generate_synthetic(50, 4, 2, seed=i) for i in range(2)]
+    started = time.perf_counter()
     for cid in range(2):
         run_client_round(cid, 1, store, cfg.group_key, shards[cid], cfg.train)
-    run_round(1, store, cfg, test, shard_sizes=[50, 50])
+    outcome = run_round(1, store, cfg, test, [50, 50], started)
     rec = store.fetch_global(1)
     assert rec.accuracy is not None and 0.0 <= rec.accuracy <= 1.0
-    assert rec.elapsed_ms is not None and rec.elapsed_ms >= 0
+    # The round's wall time runs from round_started, so it covers the clients.
+    assert rec.elapsed_ms == outcome.round_wall_ms
+    assert outcome.round_wall_ms >= sum(outcome.per_client_train_ms)
+
+
+def _round_one_global(cfg, extra_records=()):
+    """Run clients 0..N-1 of round 1, store ``extra_records``, and return the new global."""
+    store, train, test, initial = setup_store_with_initial(cfg)
+    shards = [generate_synthetic(40 + 10 * cid, 4, 2, seed=cid) for cid in range(cfg.n_clients)]
+    for cid, shard in enumerate(shards):
+        run_client_round(cid, 1, store, cfg.group_key, shard, cfg.train)
+    for key in extra_records:
+        store.put(ModelRecord(key=key, payload=store.get(StoreKey(0, 1, 0)).payload))
+    run_round(1, store, cfg, test, [len(s) for s in shards])
+    return deserialize_params(decrypt(cfg.group_key, store.fetch_global(1).payload))
+
+
+def test_run_round_ignores_a_later_iteration_record():
+    cfg = memory_cfg(n_clients=3)
+    clean = _round_one_global(cfg)
+    extra = _round_one_global(cfg, extra_records=[StoreKey(0, 1, 1)])
+    assert extra.values.tobytes() == clean.values.tobytes()
+
+
+def test_run_round_stray_client_does_not_stand_in_for_a_missing_one():
+    cfg = memory_cfg(n_clients=3, barrier_timeout_ms=50)
+    store, train, test, initial = setup_store_with_initial(cfg)
+    shard = generate_synthetic(50, 4, 2, seed=3)
+    for cid in (0, 1, 5):
+        run_client_round(cid, 1, store, cfg.group_key, shard, cfg.train)
+    with pytest.raises(BarrierTimeoutError) as excinfo:
+        run_round(1, store, cfg, test, shard_sizes=[50, 50, 50])
+    assert excinfo.value.missing_clients == [2]
+    with pytest.raises(NotFoundError):
+        store.fetch_global(1)
 
 
 # --- full experiment -----------------------------------------------------------------
@@ -266,6 +310,12 @@ def test_experiment_outcomes_are_monotone_rounds():
     cfg = memory_cfg(n_clients=2, rounds=4)
     outcomes = run_experiment(cfg)
     assert [o.round for o in outcomes] == [1, 2, 3, 4]
+
+
+def test_experiment_round_time_covers_client_training():
+    cfg = memory_cfg(n_clients=4, rounds=3, train=TrainConfig(0.1, 2, 16, seed=0))
+    for outcome in run_experiment(cfg):
+        assert outcome.round_wall_ms >= sum(outcome.per_client_train_ms)
 
 
 def test_uniform_vs_sample_weighted_differ_on_uneven_shards():
@@ -328,14 +378,17 @@ def test_config_validation():
         memory_cfg(barrier_timeout_ms=0)
 
 
-def test_experiment_surfaces_client_error_over_barrier_timeout():
+@pytest.mark.parametrize("barrier_timeout_ms", [500, 30_000])
+def test_experiment_surfaces_client_error_over_barrier_timeout(barrier_timeout_ms):
     from ddfl.errors import NumericError
 
     # A diverging learning rate kills every client in round 1; the run must
-    # report the training failure, not just a barrier timeout.
+    # report the training failure at once, not after a barrier timeout.
     cfg = memory_cfg(
         train=TrainConfig(learning_rate=1e30, epochs=3, batch_size=4, seed=0),
-        barrier_timeout_ms=500,
+        barrier_timeout_ms=barrier_timeout_ms,
     )
+    start = time.monotonic()
     with pytest.raises(NumericError):
         run_experiment(cfg)
+    assert time.monotonic() - start < 5.0

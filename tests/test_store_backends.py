@@ -273,8 +273,25 @@ def test_queue_contract_reads_after_transport():
     assert [r.key.client_id for r in fetched] == [0, 1]
     assert store.latest_round() == 1
     assert store.fetch_global(1).payload == b"g1"
-    # Records stay retrievable after the drain.
     assert store.get(StoreKey(1, 1, 0)).payload == b"m1"
+
+
+def test_queue_dequeue_never_consumes_contract_records():
+    store = QueueStore("q")
+    store.put(record(0, 1, payload=b"m0"))
+    with pytest.raises(DequeueTimeout):
+        store.dequeue("master", timeout_ms=10)
+    assert store.get(StoreKey(0, 1, 0)).payload == b"m0"
+    assert [r.payload for r in store.fetch_round(1, 1)] == [b"m0"]
+
+
+def test_queue_enqueue_never_overwrites_contract_records():
+    store = QueueStore("q")
+    store.put(record(0, 1, payload=b"stored"))
+    store.enqueue("master", record(0, 1, payload=b"message"))
+    assert store.get(StoreKey(0, 1, 0)).payload == b"stored"
+    assert [r.payload for r in store.fetch_round(1, 1)] == [b"stored"]
+    assert store.dequeue("master", 100).payload == b"message"
 
 
 # --- relational backend ----------------------------------------------------------
