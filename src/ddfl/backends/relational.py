@@ -94,33 +94,38 @@ class RelationalStore(ModelStore):
             except sqlite3.Error as exc:
                 raise BackendUnavailableError(str(exc)) from exc
 
-    def get(self, key: StoreKey) -> ModelRecord:
+    def _query(self, sql: str, params: tuple) -> list[tuple]:
+        """All rows of one read, with sqlite errors raised as BackendUnavailableError."""
         with self._lock:
-            row = self._conn.execute(
-                'SELECT client_id, "round", iteration, payload, accuracy, elapsed_ms,'
-                " stored_at FROM models WHERE namespace = ? AND client_id = ?"
-                ' AND "round" = ? AND iteration = ?',
-                (self.namespace, key.client_id, key.round, key.iteration),
-            ).fetchone()
-        if row is None:
+            try:
+                return self._conn.execute(sql, params).fetchall()
+            except sqlite3.Error as exc:
+                raise BackendUnavailableError(str(exc)) from exc
+
+    def get(self, key: StoreKey) -> ModelRecord:
+        rows = self._query(
+            'SELECT client_id, "round", iteration, payload, accuracy, elapsed_ms,'
+            " stored_at FROM models WHERE namespace = ? AND client_id = ?"
+            ' AND "round" = ? AND iteration = ?',
+            (self.namespace, key.client_id, key.round, key.iteration),
+        )
+        if not rows:
             raise NotFoundError(f"{key} not in {self.namespace!r}")
-        return self._row_to_record(row)
+        return self._row_to_record(rows[0])
 
     def fetch_round(self, round_number: int, expected_clients: int) -> list[ModelRecord]:
         check_fetch_round_args(round_number)
-        with self._lock:
-            rows = self._conn.execute(
-                'SELECT client_id, "round", iteration, payload, accuracy, elapsed_ms,'
-                ' stored_at FROM models WHERE namespace = ? AND "round" = ?'
-                " AND client_id >= 0 ORDER BY client_id, iteration",
-                (self.namespace, round_number),
-            ).fetchall()
+        rows = self._query(
+            'SELECT client_id, "round", iteration, payload, accuracy, elapsed_ms,'
+            ' stored_at FROM models WHERE namespace = ? AND "round" = ?'
+            " AND client_id >= 0 ORDER BY client_id, iteration",
+            (self.namespace, round_number),
+        )
         return [self._row_to_record(row) for row in rows]
 
     def latest_round(self) -> int:
-        with self._lock:
-            row = self._conn.execute(
-                'SELECT MAX("round") FROM models WHERE namespace = ? AND client_id = ?',
-                (self.namespace, GLOBAL_CLIENT_ID),
-            ).fetchone()
-        return int(row[0]) if row and row[0] is not None else 0
+        ((latest,),) = self._query(
+            'SELECT MAX("round") FROM models WHERE namespace = ? AND client_id = ?',
+            (self.namespace, GLOBAL_CLIENT_ID),
+        )
+        return 0 if latest is None else int(latest)

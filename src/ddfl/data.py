@@ -76,7 +76,10 @@ def generate_synthetic(n: int, d: int, k: int, seed: int) -> Dataset:
     """Deterministic k-cluster Gaussian blobs with near-equal class counts.
 
     Cluster centers and sample noise are drawn from a single PRNG seeded
-    with ``seed``, then rows are shuffled so classes are interleaved.
+    with ``seed``, then rows are shuffled so classes are interleaved. Each
+    class block is drawn and offset by its center in float64, then stored
+    in the float32 feature matrix, so no float64 copy of the whole matrix
+    is ever held.
     """
     if k < 2:
         raise ValidationError("need at least 2 classes")
@@ -87,17 +90,17 @@ def generate_synthetic(n: int, d: int, k: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, _CENTER_STD, size=(k, d))
     counts = _near_equal_counts(n, k)
-    features = np.empty((n, d), dtype=np.float64)
+    features = np.empty((n, d), dtype=np.float32)
     labels = np.empty(n, dtype=np.int64)
     offset = 0
     for cls, count in enumerate(counts):
-        features[offset : offset + count] = centers[cls] + rng.normal(
-            0.0, _CLUSTER_STD, size=(count, d)
-        )
+        block = rng.normal(0.0, _CLUSTER_STD, size=(count, d))
+        block += centers[cls]
+        features[offset : offset + count] = block
         labels[offset : offset + count] = cls
         offset += count
     order = rng.permutation(n)
-    return Dataset(features[order].astype(np.float32), labels[order], k)
+    return Dataset(features[order], labels[order], k)
 
 
 def normalize(data: Dataset) -> Dataset:

@@ -1,8 +1,11 @@
 """Multinomial logistic regression: mini-batch SGD training and evaluation.
 
-Parameters stay float32; all loss and gradient sums accumulate in float64,
-and each SGD step rounds back to float32. With a fixed seed the batch
-order, and therefore every parameter bit, is reproducible.
+Parameters and features stay float32; all loss and gradient sums
+accumulate in float64, and each SGD step rounds back to float32. Local SGD
+gathers each mini-batch's float32 rows and only then converts them to
+float64, which is exact, so no float64 copy of a whole shard is made. With
+a fixed seed the batch order, and therefore every parameter bit, is
+reproducible.
 """
 
 from __future__ import annotations
@@ -57,9 +60,11 @@ def _check_shapes(params: ParameterVector, data: Dataset) -> tuple[int, int]:
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place: ``scores`` is overwritten and returned."""
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
+    return scores
 
 
 def _mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -106,10 +111,12 @@ def local_train(params: ParameterVector, data: Dataset, cfg: TrainConfig) -> Par
         return ParameterVector(params.values, params.shapes)
 
     rng = np.random.default_rng(cfg.seed)
+    # float64 arrays that always hold float32-rounded values: the float32
+    # parameter bits, converted once per step instead of once per use.
     w0, b0 = params.layer(0)
-    w = w0.astype(np.float32).copy()
-    b = b0.astype(np.float32).copy()
-    x64 = data.features.astype(np.float64)
+    w = w0.astype(np.float64)
+    b = b0.astype(np.float64)
+    features = data.features
     labels = data.labels
     lr = float(cfg.learning_rate)
 
@@ -117,10 +124,11 @@ def local_train(params: ParameterVector, data: Dataset, cfg: TrainConfig) -> Par
         order = rng.permutation(n)
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            xb = x64[idx]
+            xb = features[idx].astype(np.float64)
             yb = labels[idx]
             m = len(idx)
-            scores = xb @ w.astype(np.float64) + b.astype(np.float64)
+            scores = xb @ w
+            scores += b
             probs = _softmax_rows(scores)
             loss = _mean_cross_entropy(probs, yb)
             if not np.isfinite(loss):
@@ -131,12 +139,16 @@ def local_train(params: ParameterVector, data: Dataset, cfg: TrainConfig) -> Par
             probs /= m
             grad_w = xb.T @ probs
             grad_b = probs.sum(axis=0)
-            w = (w.astype(np.float64) - lr * grad_w).astype(np.float32)
-            b = (b.astype(np.float64) - lr * grad_b).astype(np.float32)
+            w -= lr * grad_w
+            b -= lr * grad_b
+            w[...] = w.astype(np.float32)
+            b[...] = b.astype(np.float32)
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise NumericError(f"non-finite parameters after epoch {epoch}")
 
-    return ParameterVector(np.concatenate([w.reshape(-1), b]), params.shapes)
+    return ParameterVector(
+        np.concatenate([w.reshape(-1), b], dtype=np.float32), params.shapes
+    )
 
 
 def evaluate(params: ParameterVector, data: Dataset) -> EvalResult:

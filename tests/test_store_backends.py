@@ -343,6 +343,23 @@ def test_relational_namespaces_isolated(tmp_path):
     b.close()
 
 
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda store: store.get(StoreKey(0, 1, 0)),
+        lambda store: store.fetch_round(1, 1),
+        lambda store: store.latest_round(),
+    ],
+    ids=["get", "fetch_round", "latest_round"],
+)
+def test_relational_reads_on_closed_store_raise_unavailable(read, tmp_path):
+    store = RelationalStore(tmp_path, "ns")
+    store.put(record(0, 1, payload=b"stored"))
+    store.close()
+    with pytest.raises(BackendUnavailableError):
+        read(store)
+
+
 # --- payload opacity ---------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
