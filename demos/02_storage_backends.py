@@ -12,26 +12,23 @@ from pathlib import Path
 
 import ddfl
 from ddfl.backends.queue import QueueStore
-from ddfl.store import ModelRecord, StoreKey, now_ms
+from ddfl.store import ModelRecord, StoreKey, global_key, now_ms
 
 workdir = Path(tempfile.mkdtemp(prefix="ddfl-backends-"))
 print("working under", workdir)
 
 for kind in ddfl.BackendKind:
-    needs_root = kind in (ddfl.BackendKind.FILESYSTEM, ddfl.BackendKind.RELATIONAL)
+    # Memory and queue stores ignore the root; disk stores keep their files there.
     root = workdir / kind.value
     root.mkdir(exist_ok=True)
-    cfg = ddfl.BackendConfig(
-        kind=kind, root_path=root if needs_root else None, namespace="demo"
-    )
-    store = ddfl.open_backend(cfg)
+    store = ddfl.open_backend(ddfl.BackendConfig(kind=kind, root_path=root, namespace="demo"))
 
     # Same calls, regardless of what sits underneath.
     store.put(ModelRecord(key=StoreKey(0, 1), payload=b"client-0 model", stored_at=now_ms()))
     store.put(ModelRecord(key=StoreKey(1, 1), payload=b"client-1 model", stored_at=now_ms()))
     store.store_global(
         1,
-        ModelRecord(key=StoreKey(-1, 1), payload=b"global model", accuracy=0.9, stored_at=now_ms()),
+        ModelRecord(key=global_key(1), payload=b"global model", accuracy=0.9, stored_at=now_ms()),
     )
     round_records = store.fetch_round(1, 2)
     print(
@@ -43,18 +40,13 @@ for kind in ddfl.BackendKind:
 # The identical property suite proves the backends are interchangeable.
 print("\nconformance:")
 for kind in ddfl.BackendKind:
-    needs_root = kind in (ddfl.BackendKind.FILESYSTEM, ddfl.BackendKind.RELATIONAL)
     counter = [0]
 
-    def factory(kind=kind, needs_root=needs_root, counter=counter):
+    def factory(kind=kind, counter=counter):
         counter[0] += 1
         root = workdir / f"conf-{kind.value}-{counter[0]}"
         root.mkdir(exist_ok=True)
-        return ddfl.open_backend(
-            ddfl.BackendConfig(
-                kind=kind, root_path=root if needs_root else None, namespace="conf"
-            )
-        )
+        return ddfl.open_backend(ddfl.BackendConfig(kind=kind, root_path=root, namespace="conf"))
 
     results = ddfl.run_suite(factory)
     status = "all pass" if all(r.passed for r in results) else "FAILURES"

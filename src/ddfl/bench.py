@@ -22,6 +22,9 @@ from .report import MetricsReport
 from .store import ModelRecord, StoreKey
 
 REPETITIONS = 5
+# Dataset column of the query and comm rows, whose payloads are random
+# bytes and freshly initialized models.
+DATASET_LABEL = "synthetic"
 
 
 def _fresh_namespace(cfg: BackendConfig, label: str) -> BackendConfig:
@@ -45,10 +48,7 @@ def _median_get_ms(store, key: StoreKey) -> float:
 
 
 def bench_query(
-    backend_configs: list[BackendConfig],
-    records: int,
-    payload_bytes: int,
-    dataset_label: str = "synthetic",
+    backend_configs: list[BackendConfig], records: int, payload_bytes: int
 ) -> MetricsReport:
     """Insert ``records`` random payloads per backend, then time single-record gets.
 
@@ -62,32 +62,25 @@ def bench_query(
         try:
             store = open_backend(_fresh_namespace(cfg, "query"))
         except DDFLError:
-            report.add("query_get_median", name, dataset_label, param, "unavailable", "ms")
-            report.add("query_get_p95", name, dataset_label, param, "unavailable", "ms")
+            report.add("query_get_median", name, DATASET_LABEL, param, "unavailable", "ms")
+            report.add("query_get_p95", name, DATASET_LABEL, param, "unavailable", "ms")
             continue
-        try:
+        with store:
             keys = []
             for i in range(records):
                 key = StoreKey(i, 1, 0)
                 store.put(ModelRecord(key=key, payload=os.urandom(payload_bytes), stored_at=1))
                 keys.append(key)
             samples = [_median_get_ms(store, key) for key in keys]
-        finally:
-            store.close()
         report.add(
-            "query_get_median", name, dataset_label, param, statistics.median(samples), "ms"
+            "query_get_median", name, DATASET_LABEL, param, statistics.median(samples), "ms"
         )
-        report.add("query_get_p95", name, dataset_label, param, _percentile_95(samples), "ms")
+        report.add("query_get_p95", name, DATASET_LABEL, param, _percentile_95(samples), "ms")
     return report
 
 
 def bench_comm(
-    backend_configs: list[BackendConfig],
-    d: int,
-    k: int,
-    group_key: FernetKey,
-    seed: int = 0,
-    dataset_label: str = "synthetic",
+    backend_configs: list[BackendConfig], d: int, k: int, group_key: FernetKey
 ) -> MetricsReport:
     """Measure the cost of moving one model through a store.
 
@@ -95,16 +88,16 @@ def bench_comm(
     value) are backend-independent; the end-to-end time row is emitted per
     backend.
     """
-    model = init_model([(d, k)], seed)
+    model = init_model([(d, k)], 0)
     blob = serialize_params(model)
     token_bytes = token_length(len(blob))
     param = f"d={d};k={k}"
     report = MetricsReport()
-    report.add("param_count", "-", dataset_label, param, model.param_count, "values")
-    report.add("serialized_size", "-", dataset_label, param, len(blob), "bytes")
-    report.add("token_size", "-", dataset_label, param, token_bytes, "bytes")
+    report.add("param_count", "-", DATASET_LABEL, param, model.param_count, "values")
+    report.add("serialized_size", "-", DATASET_LABEL, param, len(blob), "bytes")
+    report.add("token_size", "-", DATASET_LABEL, param, token_bytes, "bytes")
     report.add(
-        "bytes_per_value", "-", dataset_label, param, len(blob) / model.param_count, "bytes"
+        "bytes_per_value", "-", DATASET_LABEL, param, len(blob) / model.param_count, "bytes"
     )
 
     for cfg in backend_configs:
@@ -112,9 +105,9 @@ def bench_comm(
         try:
             store = open_backend(_fresh_namespace(cfg, "comm"))
         except DDFLError:
-            report.add("comm_time", name, dataset_label, param, "unavailable", "ms")
+            report.add("comm_time", name, DATASET_LABEL, param, "unavailable", "ms")
             continue
-        try:
+        with store:
             times = []
             for rep in range(REPETITIONS):
                 start = time.perf_counter_ns()
@@ -124,9 +117,7 @@ def bench_comm(
                 fetched = store.get(key)
                 deserialize_params(decrypt(group_key, fetched.payload))
                 times.append((time.perf_counter_ns() - start) / 1e6)
-        finally:
-            store.close()
-        report.add("comm_time", name, dataset_label, param, statistics.median(times), "ms")
+        report.add("comm_time", name, DATASET_LABEL, param, statistics.median(times), "ms")
     return report
 
 

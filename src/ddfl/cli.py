@@ -14,7 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .backends import BackendConfig, BackendKind, open_backend
+from .backends import DISK_BACKENDS, BackendConfig, BackendKind, open_backend
 from .bench import bench_comm, bench_query, bench_scale
 from .conformance import PropertyResult, run_suite
 from .config import (
@@ -116,33 +116,19 @@ def conformance_exit_code(results: list[tuple[str, list[PropertyResult]]]) -> in
 
 
 def _conformance_factories(kind: BackendKind, root: Path):
-    cfg = BackendConfig(
-        kind=kind,
-        root_path=root if kind in (BackendKind.FILESYSTEM, BackendKind.RELATIONAL) else None,
-        namespace="conformance",
-    )
     counter = [0]
-
-    def factory():
-        counter[0] += 1
-        fresh = BackendConfig(
-            kind=cfg.kind,
-            root_path=cfg.root_path,
-            namespace=f"conformance-{counter[0]}",
-        )
-        return open_backend(fresh)
 
     def reopen():
         return open_backend(
-            BackendConfig(
-                kind=cfg.kind,
-                root_path=cfg.root_path,
-                namespace=f"conformance-{counter[0]}",
-            )
+            BackendConfig(kind=kind, root_path=root, namespace=f"conformance-{counter[0]}")
         )
 
+    def factory():
+        counter[0] += 1
+        return reopen()
+
     # Only disk backends can demonstrate durability across reopen.
-    return factory, (reopen if kind in (BackendKind.FILESYSTEM, BackendKind.RELATIONAL) else None)
+    return factory, (reopen if kind in DISK_BACKENDS else None)
 
 
 def cmd_conformance(args) -> int:

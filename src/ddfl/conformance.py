@@ -164,6 +164,9 @@ def _check_concurrent_writers(store: ModelStore, rng: random.Random, writers: in
     assert len(losses) == writers - 1
 
 
+# Seeds the random records of every property, so a failure reproduces.
+SUITE_SEED = 20240101
+
 CORE_PROPERTIES: list[tuple[str, Callable[[ModelStore, random.Random], None]]] = [
     ("roundtrip", _check_roundtrip),
     ("duplicate_rejection", _check_duplicate_rejection),
@@ -176,9 +179,7 @@ CORE_PROPERTIES: list[tuple[str, Callable[[ModelStore, random.Random], None]]] =
 
 
 def run_suite(
-    factory: Callable[[], ModelStore],
-    reopen: Callable[[], ModelStore] | None = None,
-    seed: int = 20240101,
+    factory: Callable[[], ModelStore], reopen: Callable[[], ModelStore] | None = None
 ) -> list[PropertyResult]:
     """Run every conformance property against stores built by ``factory``.
 
@@ -188,16 +189,14 @@ def run_suite(
     durability property.
     """
     results = []
-    rng = random.Random(seed)
+    rng = random.Random(SUITE_SEED)
     for name, check in CORE_PROPERTIES:
-        store = factory()
-        try:
-            check(store, rng)
-            results.append(PropertyResult(name, True))
-        except Exception as exc:  # any leak is a conformance failure
-            results.append(PropertyResult(name, False, f"{type(exc).__name__}: {exc}"))
-        finally:
-            store.close()
+        with factory() as store:
+            try:
+                check(store, rng)
+                results.append(PropertyResult(name, True))
+            except Exception as exc:  # any leak is a conformance failure
+                results.append(PropertyResult(name, False, f"{type(exc).__name__}: {exc}"))
 
     if reopen is not None:
         store = factory()

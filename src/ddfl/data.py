@@ -99,8 +99,12 @@ def generate_synthetic(n: int, d: int, k: int, seed: int) -> Dataset:
         features[offset : offset + count] = block
         labels[offset : offset + count] = cls
         offset += count
+    # Free the last float64 block, and the unpermuted matrix once gathered,
+    # before Dataset validates: at most two float32 copies are ever alive.
+    del block
     order = rng.permutation(n)
-    return Dataset(features[order], labels[order], k)
+    features = features[order]
+    return Dataset(features, labels[order], k)
 
 
 def normalize(data: Dataset) -> Dataset:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +28,15 @@ from .crypto import FernetKey, decrypt, encrypt
 from .data import Dataset, generate_synthetic, load_idx, partition
 from .errors import BarrierTimeoutError, ValidationError
 from .params import ParameterVector, deserialize_params, init_model, serialize_params
-from .store import ModelRecord, ModelStore, StoreKey, now_ms
+from .store import ModelRecord, ModelStore, StoreKey, global_key, now_ms
 from .training import TrainConfig, evaluate, local_train
 
 log = logging.getLogger(__name__)
 
 # How long the barrier sleeps between two fetch_round polls.
 POLL_INTERVAL_MS = 5.0
+# Share of an IDX dataset's rows held out as the test set.
+IDX_TEST_FRACTION = 0.2
 
 
 class Aggregation(enum.Enum):
@@ -57,11 +59,10 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class IdxSpec:
-    """IDX file pair; a seeded holdout fraction becomes the test set."""
+    """IDX file pair; a seeded ``IDX_TEST_FRACTION`` of the rows becomes the test set."""
 
     images: Path
     labels: Path
-    test_fraction: float = 0.2
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,7 @@ def run_round(
     store.store_global(
         round_number,
         ModelRecord(
-            key=StoreKey(-1, round_number, 0),
+            key=global_key(round_number),
             payload=token,
             accuracy=result.accuracy,
             elapsed_ms=round_wall_ms,
@@ -253,7 +254,7 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         return train, test
     full = load_idx(spec.images, spec.labels)
     n = len(full)
-    holdout = max(1, int(n * spec.test_fraction))
+    holdout = max(1, int(n * IDX_TEST_FRACTION))
     order = np.random.default_rng(cfg.seed).permutation(n)
     test_idx, train_idx = order[:holdout], order[holdout:]
     train = Dataset(full.features[train_idx], full.labels[train_idx], full.num_classes)
@@ -267,14 +268,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundOutcome]:
     shards = partition(train, cfg.n_clients, cfg.seed)
     shard_sizes = [len(s) for s in shards]
 
-    store = open_backend(cfg.backend)
-    try:
+    with open_backend(cfg.backend) as store:
         initial = init_model([(train.dim, train.num_classes)], cfg.seed)
         baseline = evaluate(initial, test)
         store.store_global(
             0,
             ModelRecord(
-                key=StoreKey(-1, 0, 0),
+                key=global_key(0),
                 payload=encrypt(cfg.group_key, serialize_params(initial)),
                 accuracy=baseline.accuracy,
                 stored_at=now_ms(),
@@ -292,9 +292,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundOutcome]:
                     store,
                     cfg.group_key,
                     shard,
-                    TrainConfig(
-                        learning_rate=cfg.train.learning_rate,
-                        epochs=cfg.train.epochs,
+                    replace(
+                        cfg.train,
                         batch_size=min(cfg.train.batch_size, len(shard)),
                         seed=client_seed(cfg.train.seed, round_number, client_id),
                     ),
@@ -308,5 +307,3 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundOutcome]:
                 outcome.round_wall_ms,
             )
         return outcomes
-    finally:
-        store.close()

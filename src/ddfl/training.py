@@ -1,11 +1,14 @@
 """Multinomial logistic regression: mini-batch SGD training and evaluation.
 
 Parameters and features stay float32; all loss and gradient sums
-accumulate in float64, and each SGD step rounds back to float32. Local SGD
-gathers each mini-batch's float32 rows and only then converts them to
-float64, which is exact, so no float64 copy of a whole shard is made. With
-a fixed seed the batch order, and therefore every parameter bit, is
-reproducible.
+accumulate in float64, and each SGD step rounds back to float32. One
+float64 kernel, ``_softmax_cross_entropy``, forms the loss and its
+gradient: ``local_train`` calls it on each mini-batch and
+``loss_and_gradient`` on a whole dataset, so SGD steps along exactly the
+gradient that the finite-difference checks verify. Local SGD gathers each
+mini-batch's float32 rows and only then converts them to float64, which is
+exact, so no float64 copy of a whole shard is made. With a fixed seed the
+batch order, and therefore every parameter bit, is reproducible.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class EvalResult:
     sample_count: int
 
 
-def _check_shapes(params: ParameterVector, data: Dataset) -> tuple[int, int]:
+def _check_shapes(params: ParameterVector, data: Dataset) -> None:
     if len(params.shapes) != 1:
         raise ValidationError(
             f"expected a single dense layer, got {len(params.shapes)} layers"
@@ -56,7 +59,8 @@ def _check_shapes(params: ParameterVector, data: Dataset) -> tuple[int, int]:
         raise ValidationError(
             f"model is {d}x{k} but data has {data.dim} features / {data.num_classes} classes"
         )
-    return d, k
+    if len(data) == 0:
+        raise ValidationError("dataset is empty")
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -73,25 +77,36 @@ def _mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
         return float(-np.log(probs[np.arange(len(labels)), labels]).mean())
 
 
+def _softmax_cross_entropy(
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, b: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean softmax cross-entropy of rows ``x`` with labels ``y``, and its gradient.
+
+    All operands are float64; returns ``(loss, grad_w, grad_b)``. A
+    non-finite loss is returned, not raised, so callers can report where
+    it occurred.
+    """
+    m = len(y)
+    scores = x @ w
+    scores += b
+    probs = _softmax_rows(scores)
+    loss = _mean_cross_entropy(probs, y)
+    probs[np.arange(m), y] -= 1.0
+    probs /= m
+    return loss, x.T @ probs, probs.sum(axis=0)
+
+
 def loss_and_gradient(params: ParameterVector, data: Dataset) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy and its analytic gradient, both in float64.
 
     The returned gradient is flat and uses the same layout as
     ``params.values`` (row-major weights, then biases).
     """
-    d, k = _check_shapes(params, data)
+    _check_shapes(params, data)
     w, b = params.layer(0)
-    x = data.features.astype(np.float64)
-    y = data.labels
-    n = len(data)
-    scores = x @ w.astype(np.float64) + b.astype(np.float64)
-    probs = _softmax_rows(scores)
-    loss = _mean_cross_entropy(probs, y)
-    delta = probs
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    grad_w = x.T @ delta
-    grad_b = delta.sum(axis=0)
+    loss, grad_w, grad_b = _softmax_cross_entropy(
+        data.features.astype(np.float64), data.labels, w.astype(np.float64), b.astype(np.float64)
+    )
     return loss, np.concatenate([grad_w.reshape(-1), grad_b])
 
 
@@ -101,10 +116,8 @@ def local_train(params: ParameterVector, data: Dataset, cfg: TrainConfig) -> Par
     The input vector is never modified. ``epochs == 0`` returns a bitwise
     copy of the input.
     """
-    d, k = _check_shapes(params, data)
+    _check_shapes(params, data)
     n = len(data)
-    if n == 0:
-        raise ValidationError("cannot train on an empty dataset")
     if cfg.batch_size > n:
         raise ValidationError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
     if cfg.epochs == 0:
@@ -116,29 +129,19 @@ def local_train(params: ParameterVector, data: Dataset, cfg: TrainConfig) -> Par
     w0, b0 = params.layer(0)
     w = w0.astype(np.float64)
     b = b0.astype(np.float64)
-    features = data.features
-    labels = data.labels
     lr = float(cfg.learning_rate)
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            xb = features[idx].astype(np.float64)
-            yb = labels[idx]
-            m = len(idx)
-            scores = xb @ w
-            scores += b
-            probs = _softmax_rows(scores)
-            loss = _mean_cross_entropy(probs, yb)
+            loss, grad_w, grad_b = _softmax_cross_entropy(
+                data.features[idx].astype(np.float64), data.labels[idx], w, b
+            )
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}"
                 )
-            probs[np.arange(m), yb] -= 1.0
-            probs /= m
-            grad_w = xb.T @ probs
-            grad_b = probs.sum(axis=0)
             w -= lr * grad_w
             b -= lr * grad_b
             w[...] = w.astype(np.float32)

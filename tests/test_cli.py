@@ -6,6 +6,7 @@ import pytest
 from ddfl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, conformance_exit_code, main
 from ddfl.conformance import PropertyResult
 from ddfl.report import MetricsReport
+from test_data import write_idx_pair
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -41,6 +42,17 @@ def test_run_out_file(tmp_path):
     code = main(["run", write_config(tmp_path, BASE), "--out", str(out)])
     assert code == EXIT_OK
     assert out.read_text().startswith("round,accuracy")
+
+
+def test_run_idx_dataset(tmp_path, capsys):
+    images, labels = write_idx_pair(
+        tmp_path, [(7 * i) % 256 for i in range(40 * 4)], [i % 2 for i in range(40)], 2, 2
+    )
+    text = BASE.replace("dataset = synthetic:200x4x2", "dataset = idx")
+    text += f"idx_images = {images}\nidx_labels = {labels}\n"
+    assert main(["run", write_config(tmp_path, text)]) == EXIT_OK
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [row[0] for row in rows[1:]] == ["1", "2", "3"]
 
 
 def test_run_config_error_exit_2(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from ddfl.backends import BackendConfig, BackendKind, open_backend
 from ddfl.crypto import decrypt, encrypt, generate_key
-from ddfl.data import generate_synthetic
+from ddfl.data import generate_synthetic, load_idx
 from ddfl.errors import (
     AuthenticationError,
     BarrierTimeoutError,
@@ -15,6 +15,7 @@ from ddfl.errors import (
 from ddfl.orchestrator import (
     Aggregation,
     ExperimentConfig,
+    IdxSpec,
     RoundOutcome,
     SyntheticSpec,
     aggregate,
@@ -32,6 +33,7 @@ from ddfl.params import (
 )
 from ddfl.store import ModelRecord, StoreKey, global_key, now_ms
 from ddfl.training import TrainConfig
+from test_data import write_idx_pair
 
 
 def _vec(values):
@@ -392,3 +394,35 @@ def test_experiment_surfaces_client_error_over_barrier_timeout(barrier_timeout_m
     with pytest.raises(NumericError):
         run_experiment(cfg)
     assert time.monotonic() - start < 5.0
+
+
+def idx_pair_with_row_ids(tmp_path, n):
+    """An IDX pair of n 2x3 images whose first pixel is the row index."""
+    rng = np.random.default_rng(n)
+    pixels = rng.integers(0, 256, size=(n, 6))
+    pixels[:, 0] = np.arange(n)
+    return write_idx_pair(tmp_path, pixels.reshape(-1).tolist(), (np.arange(n) % 3).tolist(), 2, 3)
+
+
+def test_idx_experiment_holds_out_a_fifth_and_repeats(tmp_path):
+    n = 53
+    images, labels = idx_pair_with_row_ids(tmp_path, n)
+    cfg = memory_cfg(dataset=IdxSpec(images, labels), seed=4)
+    train, test = build_datasets(cfg)
+    assert len(test) == max(1, int(n * 0.2))
+
+    # Every file row lands in exactly one of the two sets, with its label.
+    full = load_idx(images, labels)
+    ids = [np.rint(part.features[:, 0] * 255).astype(int) for part in (train, test)]
+    assert sorted(np.concatenate(ids).tolist()) == list(range(n))
+    for part, part_ids in zip((train, test), ids):
+        assert np.array_equal(part.features, full.features[part_ids])
+        assert np.array_equal(part.labels, full.labels[part_ids])
+
+    def outcomes():
+        return [
+            (o.round, o.global_accuracy, o.bytes_written, o.bytes_read)
+            for o in run_experiment(cfg)
+        ]
+
+    assert outcomes() == outcomes()

@@ -216,3 +216,35 @@ def test_eval_result_fields():
     assert isinstance(result, EvalResult)
     assert 0.0 <= result.accuracy <= 1.0
     assert result.mean_loss >= 0.0
+
+
+# --- one gradient for checks and SGD -------------------------------------------
+
+@pytest.mark.parametrize("n,d,k", [(1, 1, 2), (3, 2, 2), (17, 5, 3), (64, 12, 5), (150, 40, 10)])
+@pytest.mark.parametrize("lr", [1e-3, 0.05, 4.0])
+def test_sgd_step_follows_loss_and_gradient(n, d, k, lr):
+    # One full-batch epoch is one step along the gradient that the
+    # finite-difference test checks, taken over the epoch's shuffled rows.
+    rng = np.random.default_rng([n, d, k])
+    data = Dataset(rng.normal(size=(n, d)).astype(np.float32), rng.integers(0, k, n), k)
+    params = ParameterVector(rng.normal(scale=0.5, size=d * k + k).astype(np.float32), ((d, k),))
+    cfg = TrainConfig(learning_rate=lr, epochs=1, batch_size=n, seed=int(rng.integers(2**32)))
+    order = np.random.default_rng(cfg.seed).permutation(n)
+    _, g = loss_and_gradient(params, Dataset(data.features[order], data.labels[order], k))
+    expected = (params.values.astype(np.float64) - lr * g).astype(np.float32)
+    assert local_train(params, data, cfg).values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        evaluate,
+        loss_and_gradient,
+        lambda params, data: local_train(params, data, TrainConfig(0.1, 1, 1, seed=0)),
+    ],
+    ids=["evaluate", "loss_and_gradient", "local_train"],
+)
+def test_empty_dataset_rejected(call):
+    empty = Dataset(np.zeros((0, 2), dtype=np.float32), np.zeros(0, dtype=np.int64), 2)
+    with pytest.raises(ValidationError, match="empty"):
+        call(zero_model(2, 2), empty)
