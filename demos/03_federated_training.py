@@ -16,22 +16,29 @@ from pathlib import Path
 import ddfl
 from ddfl.orchestrator import build_datasets
 
-root = Path(tempfile.mkdtemp(prefix="ddfl-train-"))
+with tempfile.TemporaryDirectory(prefix="ddfl-train-") as root:
+    cfg = ddfl.ExperimentConfig(
+        n_clients=8,
+        rounds=10,
+        train=ddfl.TrainConfig(learning_rate=0.1, epochs=2, batch_size=32, seed=1),
+        backend=ddfl.BackendConfig(kind=ddfl.BackendKind.FILESYSTEM, root_path=Path(root)),
+        group_key=ddfl.generate_key(rng_seed=1),
+        dataset=ddfl.SyntheticSpec(n=2000, d=8, k=4, test_n=2000),
+        seed=1,
+    )
 
-cfg = ddfl.ExperimentConfig(
-    n_clients=8,
-    rounds=10,
-    train=ddfl.TrainConfig(learning_rate=0.1, epochs=2, batch_size=32, seed=1),
-    backend=ddfl.BackendConfig(kind=ddfl.BackendKind.FILESYSTEM, root_path=root),
-    group_key=ddfl.generate_key(rng_seed=1),
-    dataset=ddfl.SyntheticSpec(n=2000, d=8, k=4, test_n=2000),
-    seed=1,
-)
+    outcomes = ddfl.run_experiment(cfg)
+    print("round  accuracy  wall_ms  bytes_written")
+    for o in outcomes:
+        print(f"{o.round:5d}  {o.global_accuracy:.4f}   {o.round_wall_ms:7.1f}  {o.bytes_written}")
 
-outcomes = ddfl.run_experiment(cfg)
-print("round  accuracy  wall_ms  bytes_written")
-for o in outcomes:
-    print(f"{o.round:5d}  {o.global_accuracy:.4f}   {o.round_wall_ms:7.1f}  {o.bytes_written}")
+    # Everything in the store is ciphertext; a wrong key opens nothing.
+    with ddfl.open_backend(cfg.backend) as store:
+        wrong_key = ddfl.generate_key(rng_seed=999)
+        try:
+            ddfl.decrypt(wrong_key, store.fetch_global(10).payload)
+        except ddfl.AuthenticationError:
+            print("\nstored global model is opaque without the group key")
 
 # Baselines with the same trainer and epoch budget.
 train, test = build_datasets(cfg)
@@ -45,15 +52,6 @@ central = ddfl.evaluate(ddfl.local_train(initial, train, budget), test).accuracy
 print(f"\nfederated (8 clients): {outcomes[-1].global_accuracy:.4f}")
 print(f"single shard baseline: {single:.4f}")
 print(f"centralized ceiling:   {central:.4f}")
-
-# Everything in the store is ciphertext; a wrong key opens nothing.
-store = ddfl.open_backend(cfg.backend)
-wrong_key = ddfl.generate_key(rng_seed=999)
-try:
-    ddfl.decrypt(wrong_key, store.fetch_global(10).payload)
-except ddfl.AuthenticationError:
-    print("\nstored global model is opaque without the group key")
-store.close()
 
 # Determinism: the same config reproduces the same accuracies exactly,
 # even on a different backend.

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import struct
 import uuid
+from collections.abc import Iterator
 from pathlib import Path
 
 from ..errors import CorruptRecordError, DuplicateKeyError, NotFoundError
@@ -65,6 +66,20 @@ def decode_record(blob: bytes, key: StoreKey, source: str) -> ModelRecord:
         elapsed_ms=elapsed if flags & _HAS_ELAPSED else None,
         stored_at=stored_at,
     )
+
+
+def _numbered_entries(directory: Path, suffix: str = "") -> Iterator[tuple[int, Path]]:
+    """Yield (n, entry) for each entry of ``directory`` named ``str(n) + suffix``.
+
+    These are the names ``put`` writes; any other name (``global``, ``007``,
+    ``abc.rec``, a temp file) is skipped, and a missing directory is empty.
+    """
+    if not directory.is_dir():
+        return
+    for entry in directory.iterdir():
+        number = entry.name.removesuffix(suffix)
+        if entry.name == number + suffix and number.isdecimal() and str(int(number)) == number:
+            yield int(number), entry
 
 
 class FilesystemStore(ModelStore):
@@ -115,26 +130,13 @@ class FilesystemStore(ModelStore):
     def fetch_round(self, round_number: int, expected_clients: int) -> list[ModelRecord]:
         check_fetch_round_args(round_number)
         records = []
-        if self._ns_dir.is_dir():
-            for client_dir in self._ns_dir.iterdir():
-                if not client_dir.name.isdigit():
-                    continue
-                round_dir = client_dir / str(round_number)
-                if not round_dir.is_dir():
-                    continue
-                for rec_file in round_dir.glob("*.rec"):
-                    key = StoreKey(int(client_dir.name), round_number, int(rec_file.stem))
-                    records.append(self.get(key))
+        for client_id, client_dir in _numbered_entries(self._ns_dir):
+            for iteration, path in _numbered_entries(client_dir / str(round_number), ".rec"):
+                key = StoreKey(client_id, round_number, iteration)
+                records.append(decode_record(path.read_bytes(), key, str(path)))
         records.sort(key=lambda rec: (rec.key.client_id, rec.key.iteration))
         return records
 
     def latest_round(self) -> int:
-        global_dir = self._ns_dir / "global"
-        if not global_dir.is_dir():
-            return 0
-        rounds = [
-            int(round_dir.name)
-            for round_dir in global_dir.iterdir()
-            if round_dir.name.isdigit() and any(round_dir.glob("*.rec"))
-        ]
-        return max(rounds, default=0)
+        rounds = _numbered_entries(self._ns_dir / "global")
+        return max((n for n, path in rounds if any(_numbered_entries(path, ".rec"))), default=0)

@@ -132,13 +132,7 @@ def _conformance_factories(kind: BackendKind, root: Path):
 
 
 def cmd_conformance(args) -> int:
-    if args.backend.strip().lower() == "all":
-        kinds = list(BackendKind)
-    else:
-        try:
-            kinds = [BackendKind.parse(args.backend)]
-        except DDFLError as exc:
-            raise ConfigError(str(exc)) from exc
+    kinds = backend_kinds({"backend": args.backend})
     all_results = []
     with tempfile.TemporaryDirectory(prefix="ddfl-conformance-") as tmp:
         for kind in kinds:
@@ -162,40 +156,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Federated learning over pluggable, encrypted storage middleware.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_and_out = argparse.ArgumentParser(add_help=False)
+    config_and_out.add_argument("config", help="path to a key = value config file")
+    config_and_out.add_argument("--out", help="write the output here instead of stdout")
+    markdown = argparse.ArgumentParser(add_help=False)
+    markdown.add_argument("--markdown", action="store_true", help="emit a markdown table")
+    bench = [config_and_out, markdown]
 
-    p_run = sub.add_parser("run", help="run a federated experiment from a config file")
-    p_run.add_argument("config", help="path to a key = value config file")
-    p_run.add_argument("--out", help="write the per-round CSV here instead of stdout")
+    p_run = sub.add_parser(
+        "run", parents=[config_and_out], help="run a federated experiment from a config file"
+    )
     p_run.set_defaults(handler=cmd_run)
 
-    p_query = sub.add_parser("bench-query", help="single-record get latency per backend")
-    p_query.add_argument("config")
+    p_query = sub.add_parser(
+        "bench-query", parents=bench, help="single-record get latency per backend"
+    )
     p_query.add_argument("--records", type=int, default=1000)
     p_query.add_argument("--payload-bytes", type=int, default=31423)
-    p_query.add_argument("--out")
-    p_query.add_argument("--markdown", action="store_true", help="emit a markdown table")
     p_query.set_defaults(handler=cmd_bench_query)
 
-    p_comm = sub.add_parser("bench-comm", help="per-model communication cost")
-    p_comm.add_argument("config")
-    p_comm.add_argument("--out")
-    p_comm.add_argument("--markdown", action="store_true")
+    p_comm = sub.add_parser("bench-comm", parents=bench, help="per-model communication cost")
     p_comm.set_defaults(handler=cmd_bench_comm)
 
-    p_scale = sub.add_parser("bench-scale", help="experiment wall time across client counts")
-    p_scale.add_argument("config")
+    p_scale = sub.add_parser(
+        "bench-scale", parents=bench, help="experiment wall time across client counts"
+    )
     p_scale.add_argument("--clients", default="2,4,6,8", help="comma list of client counts")
     p_scale.add_argument(
         "--fixed-shard",
         action="store_true",
         help="hold per-client shard size fixed instead of total dataset size",
     )
-    p_scale.add_argument("--out")
-    p_scale.add_argument("--markdown", action="store_true")
     p_scale.set_defaults(handler=cmd_bench_scale)
 
     p_conf = sub.add_parser("conformance", help="run the store conformance suite")
-    p_conf.add_argument("--backend", default="all", help="a backend kind or 'all'")
+    p_conf.add_argument(
+        "--backend", default="all", help="a backend kind, a comma list of kinds, or 'all'"
+    )
     p_conf.set_defaults(handler=cmd_conformance)
 
     return parser

@@ -1,7 +1,8 @@
 """Line-oriented experiment config files: ``key = value``, ``#`` comments.
 
 The key set is closed: an unknown key is an error naming the key and line
-number, and commands report missing required keys by name. The
+number, and commands report missing required keys by name. ``KEYS`` is
+the one table of keys, and ``read`` the one reader of a value. The
 DDFL_ROOT environment variable supplies a default root_path when the
 file does not set one.
 """
@@ -9,7 +10,9 @@ file does not set one.
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .backends import BackendConfig, BackendKind
 from .crypto import FernetKey, generate_key
@@ -17,46 +20,63 @@ from .errors import ConfigError, ValidationError
 from .orchestrator import Aggregation, ExperimentConfig, IdxSpec, SyntheticSpec
 from .training import TrainConfig
 
-KNOWN_KEYS = frozenset(
-    {
-        "n_clients",
-        "rounds",
-        "learning_rate",
-        "epochs",
-        "batch_size",
-        "seed",
-        "backend",
-        "root_path",
-        "fsync",
-        "aggregation",
-        "dataset",
-        "idx_images",
-        "idx_labels",
-        "group_key",
-        "namespace",
-        "barrier_timeout_ms",
-    }
-)
-
-_DEFAULTS = {
-    "learning_rate": "0.1",
-    "epochs": "1",
-    "batch_size": "32",
-    "seed": "0",
-    "fsync": "false",
-    "aggregation": "sample_weighted",
-    "namespace": "default",
-    "barrier_timeout_ms": "30000",
+_REQUIRED = object()
+_BOOLEANS = dict.fromkeys(("true", "yes", "1", "on"), True)
+_BOOLEANS.update(dict.fromkeys(("false", "no", "0", "off"), False))
+# How each kind of value is read: what it must be, and the function that
+# reads it (raising KeyError or ValueError on a bad value).
+_KINDS = {
+    "integer": ("an integer", int),
+    "number": ("a number", float),
+    "boolean": ("a boolean", lambda raw: _BOOLEANS[raw.lower()]),
+    "path": ("a path", Path),
+    "aggregation": (
+        "one of " + ", ".join(a.value for a in Aggregation),
+        lambda raw: Aggregation(raw.lower()),
+    ),
+    "text": ("text", str),
 }
 
 
+class _Key(NamedTuple):
+    kind: str
+    default: object = _REQUIRED
+    least: int | None = None
+
+
+_EXPERIMENT = {f.name: f.default for f in fields(ExperimentConfig)}
+_BACKEND = {f.name: f.default for f in fields(BackendConfig)}
+
+# Every config key, once: how its value is read, its default, and its least
+# value. A default that a config dataclass also declares is read from it.
+KEYS = {
+    "n_clients": _Key("integer", least=1),
+    "rounds": _Key("integer", least=1),
+    "learning_rate": _Key("number", 0.1),
+    "epochs": _Key("integer", 1, least=0),
+    "batch_size": _Key("integer", 32, least=1),
+    "seed": _Key("integer", _EXPERIMENT["seed"], least=0),
+    "backend": _Key("text"),
+    "root_path": _Key("path", None),
+    "fsync": _Key("boolean", _BACKEND["fsync"]),
+    "aggregation": _Key("aggregation", _EXPERIMENT["aggregation"]),
+    "dataset": _Key("text"),
+    "idx_images": _Key("path"),
+    "idx_labels": _Key("path"),
+    "group_key": _Key("text", None),
+    "namespace": _Key("text", _BACKEND["namespace"]),
+    "barrier_timeout_ms": _Key("integer", _EXPERIMENT["barrier_timeout_ms"], least=1),
+}
+KNOWN_KEYS = frozenset(KEYS)
+
+
 def parse_config_file(path) -> dict[str, str]:
-    """Parse a config file into a raw key/value map (defaults applied)."""
+    """Parse a config file into a raw key/value map of the keys it sets."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    values = dict(_DEFAULTS)
+    values = {}
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -74,46 +94,27 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def _require(values: dict[str, str], key: str) -> str:
+def read(values: dict[str, str], key: str):
+    """The value of ``key`` as its table entry reads it, or its default."""
+    kind, default, least = KEYS[key]
     if key not in values:
-        raise ConfigError(f"missing required key {key!r}")
-    return values[key]
-
-
-def _parse_int(values: dict[str, str], key: str, minimum: int) -> int:
-    raw = _require(values, key)
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r}")
+        return default
+    raw = values[key]
+    expected, reader = _KINDS[kind]
     try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"key {key!r} must be an integer, got {raw!r}") from None
-    if value < minimum:
-        raise ConfigError(f"key {key!r} must be >= {minimum}, got {value}")
+        value = reader(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"key {key!r} must be {expected}, got {raw!r}") from None
+    if least is not None and value < least:
+        raise ConfigError(f"key {key!r} must be >= {least}, got {value}")
     return value
-
-
-def _parse_float(values: dict[str, str], key: str) -> float:
-    raw = _require(values, key)
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"key {key!r} must be a number, got {raw!r}") from None
-
-
-def _parse_bool(values: dict[str, str], key: str) -> bool:
-    raw = _require(values, key).lower()
-    if raw in ("true", "yes", "1", "on"):
-        return True
-    if raw in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"key {key!r} must be a boolean, got {raw!r}")
 
 
 def parse_dataset_spec(value: str, values: dict[str, str]) -> SyntheticSpec | IdxSpec:
     if value == "idx":
-        return IdxSpec(
-            images=Path(_require(values, "idx_images")),
-            labels=Path(_require(values, "idx_labels")),
-        )
+        return IdxSpec(images=read(values, "idx_images"), labels=read(values, "idx_labels"))
     if value == "synthetic":
         return SyntheticSpec(n=2000, d=8, k=4)
     if value.startswith("synthetic:"):
@@ -132,7 +133,7 @@ def parse_dataset_spec(value: str, values: dict[str, str]) -> SyntheticSpec | Id
 
 def backend_kinds(values: dict[str, str]) -> list[BackendKind]:
     """The backend selection: one kind, a comma list, or 'all'."""
-    raw = _require(values, "backend")
+    raw = read(values, "backend")
     if raw.strip().lower() == "all":
         return list(BackendKind)
     try:
@@ -142,13 +143,12 @@ def backend_kinds(values: dict[str, str]) -> list[BackendKind]:
 
 
 def backend_config(values: dict[str, str], kind: BackendKind) -> BackendConfig:
-    root = values.get("root_path") or os.environ.get("DDFL_ROOT")
     try:
         return BackendConfig(
             kind=kind,
-            root_path=Path(root) if root else None,
-            namespace=values["namespace"],
-            fsync=_parse_bool(values, "fsync"),
+            root_path=read(values, "root_path") or os.environ.get("DDFL_ROOT") or None,
+            namespace=read(values, "namespace"),
+            fsync=read(values, "fsync"),
         )
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
@@ -157,12 +157,13 @@ def backend_config(values: dict[str, str], kind: BackendKind) -> BackendConfig:
 def group_key_from(values: dict[str, str]) -> FernetKey:
     # Without an explicit key, derive one from the seed so repeated runs
     # of the same config can decrypt each other's stores.
-    if "group_key" in values:
-        try:
-            return FernetKey.from_encoded(values["group_key"])
-        except ValidationError as exc:
-            raise ConfigError(f"key 'group_key': {exc}") from exc
-    return generate_key(rng_seed=_parse_int(values, "seed", 0))
+    encoded = read(values, "group_key")
+    if encoded is None:
+        return generate_key(rng_seed=read(values, "seed"))
+    try:
+        return FernetKey.from_encoded(encoded)
+    except ValidationError as exc:
+        raise ConfigError(f"key 'group_key': {exc}") from exc
 
 
 def experiment_config(values: dict[str, str]) -> ExperimentConfig:
@@ -170,33 +171,25 @@ def experiment_config(values: dict[str, str]) -> ExperimentConfig:
     kinds = backend_kinds(values)
     if len(kinds) != 1:
         raise ConfigError("key 'backend' must name exactly one backend for this command")
-    dataset = parse_dataset_spec(_require(values, "dataset"), values)
+    dataset = parse_dataset_spec(read(values, "dataset"), values)
+    seed = read(values, "seed")
     try:
         train = TrainConfig(
-            learning_rate=_parse_float(values, "learning_rate"),
-            epochs=_parse_int(values, "epochs", 0),
-            batch_size=_parse_int(values, "batch_size", 1),
-            seed=_parse_int(values, "seed", 0),
+            learning_rate=read(values, "learning_rate"),
+            epochs=read(values, "epochs"),
+            batch_size=read(values, "batch_size"),
+            seed=seed,
         )
         return ExperimentConfig(
-            n_clients=_parse_int(values, "n_clients", 1),
-            rounds=_parse_int(values, "rounds", 1),
+            n_clients=read(values, "n_clients"),
+            rounds=read(values, "rounds"),
             train=train,
             backend=backend_config(values, kinds[0]),
             group_key=group_key_from(values),
             dataset=dataset,
-            seed=_parse_int(values, "seed", 0),
-            aggregation=_parse_aggregation(values),
-            barrier_timeout_ms=_parse_int(values, "barrier_timeout_ms", 1),
+            seed=seed,
+            aggregation=read(values, "aggregation"),
+            barrier_timeout_ms=read(values, "barrier_timeout_ms"),
         )
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _parse_aggregation(values: dict[str, str]) -> Aggregation:
-    raw = _require(values, "aggregation").lower()
-    try:
-        return Aggregation(raw)
-    except ValueError:
-        valid = ", ".join(a.value for a in Aggregation)
-        raise ConfigError(f"key 'aggregation' must be one of {valid}, got {raw!r}") from None

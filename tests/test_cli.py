@@ -118,6 +118,13 @@ def test_bench_comm_values(tmp_path, capsys):
     assert "comm_time" in values
 
 
+def test_bench_markdown_out_file(tmp_path):
+    out = tmp_path / "comm.md"
+    code = main(["bench-comm", write_config(tmp_path, BASE), "--markdown", "--out", str(out)])
+    assert code == EXIT_OK
+    assert out.read_text().startswith("| metric")
+
+
 def test_bench_scale_rows(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -148,6 +155,13 @@ def test_conformance_single_backend(capsys):
     assert main(["conformance", "--backend", "memory"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "memory" in out and "filesystem" not in out
+
+
+def test_conformance_backend_list(capsys):
+    # The same grammar as the config file's backend key.
+    assert main(["conformance", "--backend", "memory,queue"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert {line.split()[0] for line in out.splitlines()} == {"memory", "queue"}
 
 
 def test_conformance_unknown_backend(capsys):

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from ddfl.backends import BackendKind
+from ddfl.backends import BackendConfig, BackendKind
 from ddfl.config import (
     backend_kinds,
     experiment_config,
@@ -10,8 +12,9 @@ from ddfl.config import (
 )
 from ddfl.crypto import generate_key
 from ddfl.errors import ConfigError
-from ddfl.orchestrator import Aggregation, IdxSpec, SyntheticSpec
+from ddfl.orchestrator import Aggregation, ExperimentConfig, IdxSpec, SyntheticSpec
 from ddfl.report import CSV_HEADER, MetricsReport
+from ddfl.training import TrainConfig
 
 
 def write_config(tmp_path, text):
@@ -63,6 +66,41 @@ def test_rounds_zero_rejected_by_name(tmp_path):
     )
     with pytest.raises(ConfigError, match="rounds"):
         experiment_config(values)
+
+
+# Every integer key and its least accepted value.
+INTEGER_KEYS = {
+    "n_clients": 1,
+    "rounds": 1,
+    "epochs": 0,
+    "batch_size": 1,
+    "seed": 0,
+    "barrier_timeout_ms": 1,
+}
+
+
+@pytest.mark.parametrize("key", INTEGER_KEYS)
+def test_integer_keys_checked_by_name(key, tmp_path):
+    least = INTEGER_KEYS[key]
+    # A later line overrides an earlier one, so GOOD's value is replaced.
+    experiment_config(parse_config_file(write_config(tmp_path, GOOD + f"{key} = {least}\n")))
+    for bad in (str(least - 1), "1.5", "ten"):
+        values = parse_config_file(write_config(tmp_path, GOOD + f"{key} = {bad}\n"))
+        with pytest.raises(ConfigError, match=key):
+            experiment_config(values)
+
+
+def test_omitted_keys_get_dataclass_defaults(tmp_path, monkeypatch):
+    monkeypatch.delenv("DDFL_ROOT", raising=False)
+    text = "n_clients = 2\nrounds = 3\nbackend = memory\ndataset = synthetic:200x4x2\n"
+    cfg = experiment_config(parse_config_file(write_config(tmp_path, text)))
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    assert cfg.seed == defaults["seed"]
+    assert cfg.aggregation == defaults["aggregation"]
+    assert cfg.barrier_timeout_ms == defaults["barrier_timeout_ms"]
+    assert cfg.backend == BackendConfig(kind=BackendKind.MEMORY)
+    assert cfg.train == TrainConfig(learning_rate=0.1, epochs=1, batch_size=32, seed=cfg.seed)
+    assert cfg.group_key == generate_key(rng_seed=cfg.seed)
 
 
 def test_backend_selection():

@@ -5,8 +5,8 @@ import time
 import pytest
 
 import ddfl.backends.filesystem as fs_mod
-from ddfl.backends import BackendConfig, BackendKind, open_backend
-from ddfl.backends.filesystem import FilesystemStore
+from ddfl.backends import DISK_BACKENDS, BackendConfig, BackendKind, open_backend
+from ddfl.backends.filesystem import FilesystemStore, encode_record
 from ddfl.backends.queue import QueueStore
 from ddfl.backends.relational import RelationalStore
 from ddfl.conformance import run_suite
@@ -24,7 +24,7 @@ ALL_KINDS = list(BackendKind)
 
 
 def make_config(kind: BackendKind, tmp_path, namespace="t") -> BackendConfig:
-    needs_root = kind in (BackendKind.FILESYSTEM, BackendKind.RELATIONAL)
+    needs_root = kind in DISK_BACKENDS
     return BackendConfig(
         kind=kind, root_path=tmp_path if needs_root else None, namespace=namespace
     )
@@ -95,6 +95,8 @@ def test_basic_contract_examples(kind, tmp_path):
     with pytest.raises(ValidationError):
         store.get(StoreKey(0, 0, 0))  # client rounds start at 1
     assert store.fetch_round(5, 3) == []
+    with pytest.raises(ValidationError):
+        store.fetch_round(0, 3)  # client rounds start at 1
     store.close()
 
 
@@ -167,6 +169,23 @@ def test_filesystem_global_renders_as_global_dir(tmp_path):
     store = FilesystemStore(tmp_path, "ns")
     store.store_global(1, record(0, 1, payload=b"g"))
     assert (tmp_path / "ns" / "global" / "1" / "0.rec").is_file()
+
+
+@pytest.mark.parametrize(
+    "stray", ["0/1/abc.rec", "0/1/007.rec", "007/1/0.rec", "global/5/junk.rec"]
+)
+def test_filesystem_skips_stray_names(stray, tmp_path):
+    """Only names that put writes count; anything else in the tree is skipped."""
+    store = FilesystemStore(tmp_path, "ns")
+    real = [record(0, 1, payload=b"a"), record(1, 1, payload=b"b")]
+    for rec in real:
+        store.put(rec)
+    store.store_global(1, record(0, 1, payload=b"g"))
+    path = tmp_path / "ns" / stray
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(encode_record(record(0, 1, payload=b"stray")))
+    assert store.fetch_round(1, 2) == real
+    assert store.latest_round() == 1
 
 
 def test_filesystem_corrupt_record_detected(tmp_path):

@@ -169,6 +169,13 @@ def test_divergence_reports_epoch_and_batch():
     cfg = TrainConfig(learning_rate=1e30, epochs=2, batch_size=1, seed=0)
     with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
         local_train(zero_model(2, 2), data, cfg)
+    # A finite loss whose step overflows float32: with one batch per epoch,
+    # the check after the epoch is the one that sees the parameters blow up.
+    x = np.array([[1e3, -1e3], [-1e3, 1e3]], dtype=np.float32)
+    data = Dataset(x, np.array([0, 1]), 2)
+    cfg = TrainConfig(learning_rate=1e37, epochs=1, batch_size=len(data), seed=0)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match=r"after epoch 0"):
+        local_train(zero_model(2, 2), data, cfg)
 
 
 def test_train_config_validation():
