@@ -129,9 +129,11 @@ def bench_scale(
 ) -> MetricsReport:
     """Total experiment wall time per (backend, client count).
 
-    By default the dataset size stays fixed, so shards shrink as clients
-    grow. With ``fixed_shard`` each client keeps the same shard size and
-    the total dataset grows, so total work is non-decreasing in N.
+    Each point is the median of ``REPETITIONS`` runs, so that one stall of
+    the host does not decide it. By default the dataset size stays fixed,
+    so shards shrink as clients grow. With ``fixed_shard`` each client
+    keeps the same shard size and the total dataset grows, so total work
+    is non-decreasing in N.
     """
     if not client_counts:
         raise DDFLError("client list must not be empty")
@@ -148,13 +150,15 @@ def bench_scale(
                 base,
                 n_clients=n_clients,
                 dataset=dataclasses.replace(spec, n=n),
-                backend=_fresh_namespace(backend_cfg, f"scale{n_clients}"),
             )
             param = f"clients={n_clients};fixed_shard={str(fixed_shard).lower()}"
+            times = []
             try:
-                start = time.perf_counter()
-                run_experiment(run_cfg)
-                elapsed_s = time.perf_counter() - start
+                for _ in range(REPETITIONS):
+                    backend = _fresh_namespace(backend_cfg, f"scale{n_clients}")
+                    start = time.perf_counter()
+                    run_experiment(dataclasses.replace(run_cfg, backend=backend))
+                    times.append(time.perf_counter() - start)
             except DDFLError as exc:
                 report.add(
                     "scale_total_time", backend_cfg.kind.value, dataset_label, param,
@@ -162,6 +166,7 @@ def bench_scale(
                 )
                 continue
             report.add(
-                "scale_total_time", backend_cfg.kind.value, dataset_label, param, elapsed_s, "s"
+                "scale_total_time", backend_cfg.kind.value, dataset_label, param,
+                statistics.median(times), "s",
             )
     return report

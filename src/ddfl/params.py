@@ -117,7 +117,8 @@ def serialize_params(params: ParameterVector) -> bytes:
     for r, c in params.shapes:
         parts.append(_LAYER.pack(r, c))
     parts.append(_COUNT.pack(params.param_count))
-    parts.append(params.values.astype("<f4").tobytes())
+    # join copies the values once; astype is a no-op on little-endian hosts.
+    parts.append(params.values.astype("<f4", copy=False))
     return b"".join(parts)
 
 

@@ -1,6 +1,9 @@
+import types
+
 import pytest
 
 import ddfl
+from ddfl import bench
 from ddfl.bench import bench_comm, bench_query, bench_scale
 
 
@@ -62,3 +65,25 @@ def test_scale_records_failures_per_row(tmp_path, base_experiment):
     report = bench_scale(base_experiment, [bad], [2])
     assert len(report.rows) == 1
     assert str(report.rows[0].value).startswith("failed:")
+
+
+def test_scale_reports_median_of_repeated_runs(monkeypatch, base_experiment):
+    # Run times per client count; one stall of 9 s must not decide a point.
+    durations = {2: [0.5, 0.1, 9.0, 0.3, 0.2], 4: [0.6, 0.7, 0.4, 9.0, 0.8]}
+    clock = types.SimpleNamespace(now=0.0)
+    runs: dict[int, list[str]] = {2: [], 4: []}
+
+    def fake_run(cfg):
+        runs[cfg.n_clients].append(cfg.backend.namespace)
+        clock.now += durations[cfg.n_clients][len(runs[cfg.n_clients]) - 1]
+
+    monkeypatch.setattr(bench, "REPETITIONS", 5)
+    monkeypatch.setattr(bench, "run_experiment", fake_run)
+    monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: clock.now))
+    report = bench_scale(base_experiment, [base_experiment.backend], [2, 4])
+    assert {n: len(set(namespaces)) for n, namespaces in runs.items()} == {2: 5, 4: 5}
+    values = {row.param: row.value for row in report.rows}
+    assert values == {
+        "clients=2;fixed_shard=false": pytest.approx(0.3),
+        "clients=4;fixed_shard=false": pytest.approx(0.7),
+    }

@@ -1,4 +1,5 @@
 import base64
+import binascii
 
 import pytest
 from cryptography.fernet import Fernet as ReferenceFernet
@@ -14,6 +15,7 @@ from ddfl.errors import (
     UnsupportedVersionError,
     ValidationError,
 )
+from ddfl.params import init_model, serialize_params
 
 ZERO_KEY = FernetKey.from_bytes(bytes(32))
 
@@ -77,6 +79,34 @@ def test_matches_reference_implementation(key_seed, plaintext, timestamp, iv_byt
     assert encrypt(key, plaintext, timestamp, iv) == reference_token(
         key, plaintext, timestamp, iv
     )
+
+
+@pytest.mark.parametrize("length", range(49))
+def test_matches_reference_for_every_padding_length(length):
+    key = generate_key(rng_seed=length)
+    plaintext = bytes((7 * i + length) % 256 for i in range(length))
+    iv = bytes(range(16))
+    expected = reference_token(key, plaintext, 1_234_567, iv)
+    forms = [plaintext, bytearray(plaintext), memoryview(plaintext)]
+    if length % 4 == 0:
+        forms.append(memoryview(plaintext).cast("f"))
+    for form in forms:
+        assert encrypt(key, form, 1_234_567, iv) == expected
+    assert decrypt(key, expected) == plaintext
+
+
+def test_matches_reference_for_model_bound_blob():
+    # The 8192x50 layer of the model-bound benchmark: a 1.6 MB blob.
+    model = init_model([(8192, 50)], seed=0)
+    blob = serialize_params(model)
+    key = generate_key(rng_seed=21)
+    iv = b"\x5a" * 16
+    expected = reference_token(key, blob, 1_700_000_000, iv)
+    for form in (blob, bytearray(blob), memoryview(blob)):
+        assert encrypt(key, form, 1_700_000_000, iv) == expected
+    plaintext = decrypt(key, expected)
+    assert type(plaintext) is bytes
+    assert plaintext == blob
 
 
 def test_reference_can_decrypt_our_tokens():
@@ -195,3 +225,125 @@ def test_no_ttl_ignores_timestamp():
 def test_iv_must_be_16_bytes():
     with pytest.raises(ValidationError):
         encrypt(ZERO_KEY, b"x", timestamp=0, iv=b"\x00" * 15)
+
+
+# --- canonical encoding ----------------------------------------------------------
+# Each alias below decodes to the bytes of a valid token, so the HMAC alone
+# would accept it; only the canonical-encoding check rejects it.
+
+URLSAFE = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
+ALIAS_KEY = generate_key(rng_seed=31)
+# 121 decoded bytes, so the token ends in "==", and it holds both "-" and "_".
+ALIAS_PLAINTEXT = b"alias" * 10
+ALIAS_TOKEN = encrypt(ALIAS_KEY, ALIAS_PLAINTEXT, timestamp=1_000, iv=bytes(16))
+
+
+def canonical(token: bytes) -> bool:
+    """The reference rule: the token decodes and re-encodes to itself."""
+    try:
+        data = base64.urlsafe_b64decode(token)
+    except (binascii.Error, ValueError):
+        return False
+    return base64.urlsafe_b64encode(data) == token
+
+
+def stray_bits(token: bytes) -> bytes:
+    symbol = URLSAFE.index(token[-3])
+    return token[:-3] + bytes([URLSAFE[symbol ^ 1]]) + token[-2:]
+
+
+def swap_first(token: bytes, old: bytes, new: bytes) -> bytes:
+    assert old in token
+    return token.replace(old, new, 1)
+
+
+def insert_at(token: bytes, position: int, text: bytes) -> bytes:
+    return token[:position] + text + token[position:]
+
+
+@pytest.mark.parametrize(
+    "alias",
+    [
+        stray_bits(ALIAS_TOKEN),
+        swap_first(ALIAS_TOKEN, b"-", b"+"),
+        swap_first(ALIAS_TOKEN, b"_", b"/"),
+        insert_at(ALIAS_TOKEN, 40, b"\n"),
+        insert_at(ALIAS_TOKEN, 40, b" "),
+        insert_at(ALIAS_TOKEN, 40, b"    "),
+        insert_at(ALIAS_TOKEN, 40, b"="),
+        insert_at(ALIAS_TOKEN, 40, b"===="),
+        ALIAS_TOKEN + b"=",
+        ALIAS_TOKEN + b"====",
+    ],
+    ids=[
+        "stray-bits-before-padding",
+        "dash-as-plus",
+        "underscore-as-slash",
+        "inserted-newline",
+        "inserted-space",
+        "inserted-four-spaces",
+        "pad-inside-body",
+        "four-pads-inside-body",
+        "extra-trailing-pad",
+        "four-extra-trailing-pads",
+    ],
+)
+def test_aliasing_tokens_rejected(alias):
+    assert ALIAS_TOKEN.endswith(b"==")
+    assert alias != ALIAS_TOKEN
+    assert base64.urlsafe_b64decode(alias) == base64.urlsafe_b64decode(ALIAS_TOKEN)
+    assert decrypt(ALIAS_KEY, ALIAS_TOKEN) == ALIAS_PLAINTEXT
+    with pytest.raises(TokenFormatError):
+        decrypt(ALIAS_KEY, alias)
+    with pytest.raises(TokenFormatError):
+        decrypt(ALIAS_KEY, alias.decode("ascii"))
+
+
+def assert_format_error_iff_not_canonical(token: bytes):
+    format_error = False
+    try:
+        decrypt(ALIAS_KEY, token)
+    except TokenFormatError:
+        format_error = True
+    except InvalidToken:
+        pass
+    assert format_error is not canonical(token), token
+
+
+SYMBOLS = st.sampled_from(list(URLSAFE + b"=+/\n !")).map(lambda b: bytes([b]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tail=st.lists(SYMBOLS, max_size=12).map(b"".join))
+def test_short_tails_rejected_exactly_when_not_canonical(tail):
+    # A real token's first 156 symbols decode to 117 bytes, so a canonical
+    # candidate is long enough to reach the version and HMAC checks.
+    assert_format_error_iff_not_canonical(ALIAS_TOKEN[:-8] + tail)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    edit=st.sampled_from(["insert", "delete", "replace"]),
+    where=st.integers(0, len(ALIAS_TOKEN) - 1),
+    symbol=SYMBOLS,
+)
+def test_single_edits_rejected_exactly_when_not_canonical(edit, where, symbol):
+    if edit == "insert":
+        token = insert_at(ALIAS_TOKEN, where, symbol)
+    elif edit == "delete":
+        token = ALIAS_TOKEN[:where] + ALIAS_TOKEN[where + 1 :]
+    else:
+        token = ALIAS_TOKEN[:where] + symbol + ALIAS_TOKEN[where + 1 :]
+    assert_format_error_iff_not_canonical(token)
+
+
+def test_canonical_check_on_every_last_quantum():
+    # Every two-symbol and three-symbol ending, with its padding, after a
+    # real token's body: only the canonical ones get past the format check.
+    body = ALIAS_TOKEN[:-4]
+    symbols = [bytes([b]) for b in URLSAFE + b"=+/"]
+    for a in symbols:
+        for b in symbols:
+            assert_format_error_iff_not_canonical(body + a + b + b"==")
+            for c in symbols:
+                assert_format_error_iff_not_canonical(body + a + b + c + b"=")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,18 @@ def test_serialized_length_formula():
     assert serialized_size([(784, 10)]) == 4 + 1 + 2 + 8 + 8 + 7850 * 4 == 31423
     model = init_model([(784, 10)], seed=0)
     assert len(serialize_params(model)) == 31423
+
+
+def test_serialized_bytes_follow_wire_format():
+    model = init_model([(3, 2), (2, 5)], seed=4)
+    expected = (
+        b"DDFL\x01\x02\x00"
+        + (3).to_bytes(4, "little") + (2).to_bytes(4, "little")
+        + (2).to_bytes(4, "little") + (5).to_bytes(4, "little")
+        + (model.param_count).to_bytes(8, "little")
+        + b"".join(struct.pack("<f", v) for v in model.values.tolist())
+    )
+    assert serialize_params(model) == expected
 
 
 def test_roundtrip_simple():
