@@ -1,12 +1,23 @@
 import base64
 import binascii
+import itertools
 
+import numpy as np
 import pytest
 from cryptography.fernet import Fernet as ReferenceFernet
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddfl.crypto import FernetKey, decrypt, encrypt, generate_key, token_length
+from ddfl.crypto import (
+    _BAD_PAIR,
+    _PAIRS,
+    FernetKey,
+    _decode_canonical,
+    decrypt,
+    encrypt,
+    generate_key,
+    token_length,
+)
 from ddfl.errors import (
     AuthenticationError,
     ExpiredTokenError,
@@ -95,10 +106,14 @@ def test_matches_reference_for_every_padding_length(length):
     assert decrypt(key, expected) == plaintext
 
 
-def test_matches_reference_for_model_bound_blob():
+@pytest.fixture(scope="module")
+def model_bound_blob():
     # The 8192x50 layer of the model-bound benchmark: a 1.6 MB blob.
-    model = init_model([(8192, 50)], seed=0)
-    blob = serialize_params(model)
+    return serialize_params(init_model([(8192, 50)], seed=0))
+
+
+def test_matches_reference_for_model_bound_blob(model_bound_blob):
+    blob = model_bound_blob
     key = generate_key(rng_seed=21)
     iv = b"\x5a" * 16
     expected = reference_token(key, blob, 1_700_000_000, iv)
@@ -310,7 +325,7 @@ def assert_format_error_iff_not_canonical(token: bytes):
     assert format_error is not canonical(token), token
 
 
-SYMBOLS = st.sampled_from(list(URLSAFE + b"=+/\n !")).map(lambda b: bytes([b]))
+SYMBOLS = st.sampled_from(list(URLSAFE + b"=+/\n !\x00\xff")).map(lambda b: bytes([b]))
 
 
 @settings(max_examples=400, deadline=None)
@@ -347,3 +362,53 @@ def test_canonical_check_on_every_last_quantum():
             assert_format_error_iff_not_canonical(body + a + b + b"==")
             for c in symbols:
                 assert_format_error_iff_not_canonical(body + a + b + c + b"=")
+
+
+# --- the vectorized decoder ------------------------------------------------------
+
+def test_pair_table_matches_stdlib():
+    assert _PAIRS.dtype == np.dtype("<u2") and _PAIRS.shape == (1 << 16,)
+    entries = _PAIRS.tolist()
+    for c0, c1 in itertools.product(range(256), repeat=2):
+        entry = entries[c0 | c1 << 8]
+        if c0 in URLSAFE and c1 in URLSAFE:
+            # Two symbols and "AA" decode to 24 bits; the pair gives the top 12.
+            decoded = base64.urlsafe_b64decode(bytes([c0, c1]) + b"AA")
+            assert entry == int.from_bytes(decoded, "big") >> 12, (c0, c1)
+        else:
+            assert entry == _BAD_PAIR, (c0, c1)
+
+
+def test_decoder_agrees_with_stdlib_on_every_short_string():
+    # Every string of up to 4 symbols after "gAAA": A, Q, g and w differ in
+    # their top bits, - and _ are the url-safe symbols, and the rest are
+    # bytes a lenient decoder skips or maps to other symbols.
+    symbols = [bytes([b]) for b in b"AQgw-_=+/\n \x00\x80"]
+    for n in range(5):
+        for suffix in itertools.product(symbols, repeat=n):
+            token = b"gAAA" + b"".join(suffix)
+            try:
+                decoded = bytes(_decode_canonical(token))
+            except TokenFormatError:
+                decoded = None
+            expected = base64.urlsafe_b64decode(token) if canonical(token) else None
+            assert decoded == expected, token
+
+
+@pytest.mark.parametrize("byte", [b"+", b"/", b"=", b"\n", b"\x00", b"\xff"])
+@pytest.mark.parametrize("where", ["first", "middle", "after-middle", "last-body", "first-tail"])
+def test_large_token_rejects_one_bad_byte(model_bound_blob, where, byte):
+    key = generate_key(rng_seed=22)
+    token = encrypt(key, model_bound_blob, timestamp=1_000, iv=bytes(16))
+    assert decrypt(key, token) == model_bound_blob
+    position = {
+        "first": 0,
+        "middle": len(token) // 2,
+        "after-middle": len(token) // 2 + 1,
+        "last-body": len(token) - 5,
+        "first-tail": len(token) - 4,
+    }[where]
+    mutated = bytearray(token)
+    mutated[position] = byte[0]
+    with pytest.raises(TokenFormatError):
+        decrypt(key, bytes(mutated))
