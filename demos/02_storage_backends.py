@@ -11,7 +11,6 @@ import tempfile
 from pathlib import Path
 
 import ddfl
-from ddfl.backends.queue import QueueStore
 from ddfl.store import ModelRecord, StoreKey, global_key, now_ms
 
 with tempfile.TemporaryDirectory(prefix="ddfl-backends-") as tmp:
@@ -58,13 +57,3 @@ with tempfile.TemporaryDirectory(prefix="ddfl-backends-") as tmp:
     blob = fs_file.read_bytes()
     print("\nfilesystem record", fs_file.relative_to(workdir))
     print("  magic:", blob[:4], " payload length:", int.from_bytes(blob[4:12], "little"))
-
-# The queue backend is also a small broker: blocking FIFO delivery.
-broker = QueueStore("demo")
-broker.enqueue("client-0", ModelRecord(key=StoreKey(0, 1), payload=b"first", stored_at=1))
-broker.enqueue("client-0", ModelRecord(key=StoreKey(0, 2), payload=b"second", stored_at=1))
-print("\nqueue FIFO:", broker.dequeue("client-0", 100).payload, broker.dequeue("client-0", 100).payload)
-try:
-    broker.dequeue("client-0", timeout_ms=25)
-except ddfl.DequeueTimeout:
-    print("empty queue timed out as expected")

@@ -17,7 +17,6 @@ from .errors import (
     ConfigError,
     CorruptRecordError,
     DDFLError,
-    DequeueTimeout,
     DuplicateKeyError,
     ExpiredTokenError,
     FormatError,
@@ -64,7 +63,6 @@ __all__ = [
     "CorruptRecordError",
     "DDFLError",
     "Dataset",
-    "DequeueTimeout",
     "DuplicateKeyError",
     "EvalResult",
     "ExperimentConfig",

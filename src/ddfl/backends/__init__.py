@@ -1,8 +1,10 @@
 """Embedded storage backends implementing the ModelStore contract.
 
 Each backend models one database family by its dominant latency
-characteristic: RAM (memory), disk files (filesystem), broker queues
-(queue), and an indexed SQL table (relational).
+characteristic: RAM (memory), disk files (filesystem), and an indexed SQL
+table (relational). The queue kind keeps its records in the memory
+backend's dict; it exists because the round benchmark and config files
+name it.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Line-oriented experiment config files: ``key = value``, ``#`` comments.
 
 The key set is closed: an unknown key is an error naming the key and line
-number, and commands report missing required keys by name. ``KEYS`` is
-the one table of keys, and ``read`` the one reader of a value. The
-DDFL_ROOT environment variable supplies a default root_path when the
-file does not set one.
+number, as is a key set twice, and commands report missing required keys
+by name. ``KEYS`` is the one table of keys, and ``read`` the one reader of
+a value. The DDFL_ROOT environment variable supplies a default root_path
+when the file does not set one.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ def parse_config_file(path) -> dict[str, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values = {}
+    lines = {}
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -90,7 +91,12 @@ def parse_config_file(path) -> dict[str, str]:
             raise ConfigError(f"{path}:{line_number}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"{path}:{line_number}: key {key!r} has an empty value")
+        if key in values:
+            raise ConfigError(
+                f"{path}:{line_number}: key {key!r} already set on line {lines[key]}"
+            )
         values[key] = value
+        lines[key] = line_number
     return values
 
 
@@ -127,7 +133,10 @@ def parse_dataset_spec(value: str, values: dict[str, str]) -> SyntheticSpec | Id
             n, d, k = (int(part) for part in dims)
         except ValueError:
             raise ConfigError(f"dataset {value!r} has non-integer dimensions") from None
-        return SyntheticSpec(n=n, d=d, k=k)
+        try:
+            return SyntheticSpec(n=n, d=d, k=k)
+        except ValidationError as exc:
+            raise ConfigError(f"key 'dataset': {exc}") from exc
     raise ConfigError(f"key 'dataset' must be 'synthetic', 'synthetic:<n>x<d>x<k>', or 'idx', got {value!r}")
 
 

@@ -73,10 +73,6 @@ class CorruptRecordError(StoreError):
     kind = "Corrupt"
 
 
-class DequeueTimeout(DDFLError):
-    """No message arrived on a queue within the requested timeout."""
-
-
 # --- orchestration ---------------------------------------------------------
 
 class BarrierTimeoutError(DDFLError):

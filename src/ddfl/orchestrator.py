@@ -53,6 +53,13 @@ class SyntheticSpec:
     k: int
     test_n: int = 0
 
+    def __post_init__(self):
+        if self.n < 1 or self.d < 1 or self.k < 2 or self.test_n < 0:
+            raise ValidationError(
+                "synthetic dataset needs n >= 1, d >= 1, k >= 2 and test_n >= 0, got "
+                f"n={self.n}, d={self.d}, k={self.k}, test_n={self.test_n}"
+            )
+
     def resolved_test_n(self) -> int:
         return self.test_n if self.test_n > 0 else max(self.k, self.n // 4)
 

@@ -67,6 +67,15 @@ def test_run_unknown_key_exit_2(tmp_path, capsys):
     assert "surprise" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "dataset", ["synthetic:0x8x4", "synthetic:-5x8x4", "synthetic:100x0x4", "synthetic:100x8x1"]
+)
+def test_run_bad_synthetic_size_exit_2(dataset, tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE.replace("synthetic:200x4x2", dataset))
+    assert main(["run", cfg]) == EXIT_CONFIG
+    assert "dataset" in capsys.readouterr().err
+
+
 def test_run_missing_root_exit_3(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

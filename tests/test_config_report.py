@@ -54,6 +54,12 @@ def test_unknown_key_names_key_and_line(tmp_path):
         parse_config_file(path)
 
 
+def test_repeated_key_names_key_and_both_lines(tmp_path):
+    path = write_config(tmp_path, "rounds = 1\nbackend = memory\nrounds = 3\n")
+    with pytest.raises(ConfigError, match=r":3: key 'rounds' already set on line 1"):
+        parse_config_file(path)
+
+
 def test_missing_required_key_named(tmp_path):
     values = parse_config_file(write_config(tmp_path, "backend = memory\n"))
     with pytest.raises(ConfigError, match="dataset"):
@@ -82,10 +88,13 @@ INTEGER_KEYS = {
 @pytest.mark.parametrize("key", INTEGER_KEYS)
 def test_integer_keys_checked_by_name(key, tmp_path):
     least = INTEGER_KEYS[key]
-    # A later line overrides an earlier one, so GOOD's value is replaced.
-    experiment_config(parse_config_file(write_config(tmp_path, GOOD + f"{key} = {least}\n")))
+    # A key may be set only once, so GOOD's own line for it is dropped.
+    base = "".join(
+        line for line in GOOD.splitlines(keepends=True) if not line.startswith(f"{key} =")
+    )
+    experiment_config(parse_config_file(write_config(tmp_path, base + f"{key} = {least}\n")))
     for bad in (str(least - 1), "1.5", "ten"):
-        values = parse_config_file(write_config(tmp_path, GOOD + f"{key} = {bad}\n"))
+        values = parse_config_file(write_config(tmp_path, base + f"{key} = {bad}\n"))
         with pytest.raises(ConfigError, match=key):
             experiment_config(values)
 

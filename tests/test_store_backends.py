@@ -1,19 +1,17 @@
 import os
-import threading
-import time
 
 import pytest
 
 import ddfl.backends.filesystem as fs_mod
 from ddfl.backends import DISK_BACKENDS, BackendConfig, BackendKind, open_backend
 from ddfl.backends.filesystem import FilesystemStore, encode_record
+from ddfl.backends.memory import MemoryStore
 from ddfl.backends.queue import QueueStore
 from ddfl.backends.relational import RelationalStore
 from ddfl.conformance import run_suite
 from ddfl.errors import (
     BackendUnavailableError,
     CorruptRecordError,
-    DequeueTimeout,
     DuplicateKeyError,
     NotFoundError,
     ValidationError,
@@ -42,11 +40,15 @@ def record(client_id, round_number, payload=b"payload", **kw):
 def test_conformance_suite(kind, tmp_path):
     counter = [0]
 
-    def factory():
-        counter[0] += 1
+    def reopen():  # the most recent factory store's namespace
         return open_backend(make_config(kind, tmp_path, namespace=f"conf-{counter[0]}"))
 
-    results = run_suite(factory)
+    def factory():
+        counter[0] += 1
+        return reopen()
+
+    durable = kind in DISK_BACKENDS
+    results = run_suite(factory, reopen=reopen if durable else None)
     failures = [r for r in results if not r.passed]
     assert not failures, failures
     assert {r.name for r in results} >= {
@@ -57,10 +59,18 @@ def test_conformance_suite(kind, tmp_path):
         "byte_fidelity",
         "concurrent_writers",
     }
+    assert ("durability_reopen" in {r.name for r in results}) == durable
+
+
+def test_conformance_fails_durability_of_memory_store():
+    results = run_suite(lambda: MemoryStore("gone"), reopen=lambda: MemoryStore("gone"))
+    durability = next(r for r in results if r.name == "durability_reopen")
+    assert not durability.passed
+    assert "NotFoundError" in durability.detail
 
 
 def test_conformance_names_broken_roundtrip(tmp_path):
-    class DroppingStore(QueueStore):
+    class DroppingStore(MemoryStore):
         def put(self, record):  # silently loses every write
             return None
 
@@ -70,7 +80,7 @@ def test_conformance_names_broken_roundtrip(tmp_path):
 
 
 def test_conformance_records_foreign_exceptions(tmp_path):
-    class LeakyStore(QueueStore):
+    class LeakyStore(MemoryStore):
         def get(self, key):  # leaks a non-store exception type
             raise RuntimeError("driver exploded")
 
@@ -240,49 +250,6 @@ def test_fsync_flag_accepted(tmp_path):
 
 # --- queue backend --------------------------------------------------------------
 
-def test_queue_fifo_order():
-    store = QueueStore("q")
-    a = record(0, 1, payload=b"A")
-    b = record(1, 1, payload=b"B")
-    store.enqueue("client-0", a)
-    store.enqueue("client-0", b)
-    assert store.dequeue("client-0", 100).payload == b"A"
-    assert store.dequeue("client-0", 100).payload == b"B"
-
-
-def test_queue_dequeue_timeout():
-    store = QueueStore("q")
-    start = time.monotonic()
-    with pytest.raises(DequeueTimeout):
-        store.dequeue("empty", timeout_ms=10)
-    assert time.monotonic() - start >= 0.010
-
-
-def test_queue_concurrent_consumers_each_message_once():
-    store = QueueStore("q")
-    for i in range(100):
-        store.enqueue("work", record(i, 1, payload=i.to_bytes(2, "little")))
-    seen: list[bytes] = []
-    lock = threading.Lock()
-
-    def consume():
-        while True:
-            try:
-                msg = store.dequeue("work", timeout_ms=50)
-            except DequeueTimeout:
-                return
-            with lock:
-                seen.append(msg.payload)
-
-    consumers = [threading.Thread(target=consume) for _ in range(2)]
-    for t in consumers:
-        t.start()
-    for t in consumers:
-        t.join()
-    assert len(seen) == 100
-    assert sorted(seen) == sorted(i.to_bytes(2, "little") for i in range(100))
-
-
 def test_queue_contract_reads_after_transport():
     store = QueueStore("q")
     store.put(record(1, 1, payload=b"m1"))
@@ -293,24 +260,6 @@ def test_queue_contract_reads_after_transport():
     assert store.latest_round() == 1
     assert store.fetch_global(1).payload == b"g1"
     assert store.get(StoreKey(1, 1, 0)).payload == b"m1"
-
-
-def test_queue_dequeue_never_consumes_contract_records():
-    store = QueueStore("q")
-    store.put(record(0, 1, payload=b"m0"))
-    with pytest.raises(DequeueTimeout):
-        store.dequeue("master", timeout_ms=10)
-    assert store.get(StoreKey(0, 1, 0)).payload == b"m0"
-    assert [r.payload for r in store.fetch_round(1, 1)] == [b"m0"]
-
-
-def test_queue_enqueue_never_overwrites_contract_records():
-    store = QueueStore("q")
-    store.put(record(0, 1, payload=b"stored"))
-    store.enqueue("master", record(0, 1, payload=b"message"))
-    assert store.get(StoreKey(0, 1, 0)).payload == b"stored"
-    assert [r.payload for r in store.fetch_round(1, 1)] == [b"stored"]
-    assert store.dequeue("master", 100).payload == b"message"
 
 
 # --- relational backend ----------------------------------------------------------
