@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import BackendUnavailableError, ValidationError
-from ..store import ModelStore
+from ..store import ModelStore, check_namespace
 
 
 class BackendKind(enum.Enum):
@@ -45,8 +45,7 @@ class BackendConfig:
     fsync: bool = False
 
     def __post_init__(self):
-        if not self.namespace:
-            raise ValidationError("namespace must be a non-empty string")
+        check_namespace(self.namespace)
         if self.root_path is not None:
             object.__setattr__(self, "root_path", Path(self.root_path))
         if self.kind in DISK_BACKENDS and self.root_path is None:

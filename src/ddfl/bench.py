@@ -8,6 +8,8 @@ carries an explicit unit.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import os
 import statistics
 import time
@@ -16,7 +18,7 @@ import uuid
 from .backends import BackendConfig, open_backend
 from .crypto import FernetKey, decrypt, encrypt, token_length
 from .errors import DDFLError
-from .orchestrator import ExperimentConfig, SyntheticSpec, run_experiment
+from .orchestrator import ExperimentConfig, run_experiment
 from .params import deserialize_params, init_model, serialize_params
 from .report import MetricsReport
 from .store import ModelRecord, StoreKey
@@ -38,13 +40,29 @@ def _percentile_95(samples: list[float]) -> float:
     return ordered[index]
 
 
-def _median_get_ms(store, key: StoreKey) -> float:
+def _median_s(call) -> float:
+    """Median wall time of ``REPETITIONS`` calls of ``call``, in seconds."""
     times = []
     for _ in range(REPETITIONS):
-        start = time.perf_counter_ns()
-        store.get(key)
-        times.append((time.perf_counter_ns() - start) / 1e6)
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
     return statistics.median(times)
+
+
+def _add_measured(report, metrics, cfg: BackendConfig, dataset, param, unit, measure) -> None:
+    """Add one row per metric for backend ``cfg``, valued by ``measure(cfg)``.
+
+    ``measure`` runs the backend's whole measurement: open, write and time.
+    If it raises a DDFLError, every row reads ``failed:<ErrorClassName>``
+    and the suite goes on to the next backend.
+    """
+    try:
+        values = measure(cfg)
+    except DDFLError as exc:
+        values = [f"failed:{type(exc).__name__}"] * len(metrics)
+    for metric, value in zip(metrics, values, strict=True):
+        report.add(metric, cfg.kind.value, dataset, param, value, unit)
 
 
 def bench_query(
@@ -52,30 +70,25 @@ def bench_query(
 ) -> MetricsReport:
     """Insert ``records`` random payloads per backend, then time single-record gets.
 
-    Emits a median and a p95 row per backend. A backend that fails to open
-    is reported with value ``unavailable`` instead of aborting the run.
+    A record's get time is the median of ``REPETITIONS`` gets. Each backend
+    has a median and a p95 row over its records; both read
+    ``failed:<ErrorClassName>`` if the backend fails to open, write or read.
     """
+
+    def measure(cfg):
+        with open_backend(_fresh_namespace(cfg, "query")) as store:
+            keys = [StoreKey(i, 1, 0) for i in range(records)]
+            for key in keys:
+                store.put(ModelRecord(key=key, payload=os.urandom(payload_bytes), stored_at=1))
+            samples = [_median_s(functools.partial(store.get, key)) * 1e3 for key in keys]
+        return statistics.median(samples), _percentile_95(samples)
+
     report = MetricsReport()
     param = f"records={records};payload={payload_bytes}"
     for cfg in backend_configs:
-        name = cfg.kind.value
-        try:
-            store = open_backend(_fresh_namespace(cfg, "query"))
-        except DDFLError:
-            report.add("query_get_median", name, DATASET_LABEL, param, "unavailable", "ms")
-            report.add("query_get_p95", name, DATASET_LABEL, param, "unavailable", "ms")
-            continue
-        with store:
-            keys = []
-            for i in range(records):
-                key = StoreKey(i, 1, 0)
-                store.put(ModelRecord(key=key, payload=os.urandom(payload_bytes), stored_at=1))
-                keys.append(key)
-            samples = [_median_get_ms(store, key) for key in keys]
-        report.add(
-            "query_get_median", name, DATASET_LABEL, param, statistics.median(samples), "ms"
+        _add_measured(
+            report, ["query_get_median", "query_get_p95"], cfg, DATASET_LABEL, param, "ms", measure
         )
-        report.add("query_get_p95", name, DATASET_LABEL, param, _percentile_95(samples), "ms")
     return report
 
 
@@ -85,8 +98,9 @@ def bench_comm(
     """Measure the cost of moving one model through a store.
 
     Size rows (value count, serialized bytes, token bytes, bytes per
-    value) are backend-independent; the end-to-end time row is emitted per
-    backend.
+    value) are backend-independent, with backend ``-``. Each backend's
+    ``comm_time`` row is the median of ``REPETITIONS`` passes of serialize,
+    encrypt, put, get, decrypt and deserialize, or ``failed:<ErrorClassName>``.
     """
     model = init_model([(d, k)], 0)
     blob = serialize_params(model)
@@ -100,24 +114,18 @@ def bench_comm(
         "bytes_per_value", "-", DATASET_LABEL, param, len(blob) / model.param_count, "bytes"
     )
 
+    def move_model(store, key):
+        token = encrypt(group_key, serialize_params(model))
+        store.put(ModelRecord(key=key, payload=token, stored_at=1))
+        deserialize_params(decrypt(group_key, store.get(key).payload))
+
+    def measure(cfg):
+        keys = (StoreKey(0, rep, 0) for rep in itertools.count(1))
+        with open_backend(_fresh_namespace(cfg, "comm")) as store:
+            return [_median_s(lambda: move_model(store, next(keys))) * 1e3]
+
     for cfg in backend_configs:
-        name = cfg.kind.value
-        try:
-            store = open_backend(_fresh_namespace(cfg, "comm"))
-        except DDFLError:
-            report.add("comm_time", name, DATASET_LABEL, param, "unavailable", "ms")
-            continue
-        with store:
-            times = []
-            for rep in range(REPETITIONS):
-                start = time.perf_counter_ns()
-                token = encrypt(group_key, serialize_params(model))
-                key = StoreKey(0, rep + 1, 0)
-                store.put(ModelRecord(key=key, payload=token, stored_at=1))
-                fetched = store.get(key)
-                deserialize_params(decrypt(group_key, fetched.payload))
-                times.append((time.perf_counter_ns() - start) / 1e6)
-        report.add("comm_time", name, DATASET_LABEL, param, statistics.median(times), "ms")
+        _add_measured(report, ["comm_time"], cfg, DATASET_LABEL, param, "ms", measure)
     return report
 
 
@@ -129,44 +137,34 @@ def bench_scale(
 ) -> MetricsReport:
     """Total experiment wall time per (backend, client count).
 
-    Each point is the median of ``REPETITIONS`` runs, so that one stall of
-    the host does not decide it. By default the dataset size stays fixed,
+    ``base.dataset`` must be a SyntheticSpec. Each point is the median of
+    ``REPETITIONS`` runs, each in a fresh namespace, so that one stall of
+    the host does not decide it; a point whose runs fail reads
+    ``failed:<ErrorClassName>``. By default the dataset size stays fixed,
     so shards shrink as clients grow. With ``fixed_shard`` each client
     keeps the same shard size and the total dataset grows, so total work
     is non-decreasing in N.
     """
     if not client_counts:
         raise DDFLError("client list must not be empty")
-    if not isinstance(base.dataset, SyntheticSpec):
-        raise DDFLError("bench_scale needs a synthetic dataset spec")
     spec = base.dataset
     shard_size = max(2, spec.n // max(client_counts))
     report = MetricsReport()
     dataset_label = f"synthetic:{spec.n}x{spec.d}x{spec.k}"
+
+    def run(backend_cfg, run_cfg):
+        backend = _fresh_namespace(backend_cfg, f"scale{run_cfg.n_clients}")
+        run_experiment(dataclasses.replace(run_cfg, backend=backend))
+
     for backend_cfg in backend_configs:
         for n_clients in client_counts:
             n = shard_size * n_clients if fixed_shard else spec.n
             run_cfg = dataclasses.replace(
-                base,
-                n_clients=n_clients,
-                dataset=dataclasses.replace(spec, n=n),
+                base, n_clients=n_clients, dataset=dataclasses.replace(spec, n=n)
             )
             param = f"clients={n_clients};fixed_shard={str(fixed_shard).lower()}"
-            times = []
-            try:
-                for _ in range(REPETITIONS):
-                    backend = _fresh_namespace(backend_cfg, f"scale{n_clients}")
-                    start = time.perf_counter()
-                    run_experiment(dataclasses.replace(run_cfg, backend=backend))
-                    times.append(time.perf_counter() - start)
-            except DDFLError as exc:
-                report.add(
-                    "scale_total_time", backend_cfg.kind.value, dataset_label, param,
-                    f"failed:{exc.__class__.__name__}", "s",
-                )
-                continue
-            report.add(
-                "scale_total_time", backend_cfg.kind.value, dataset_label, param,
-                statistics.median(times), "s",
+            _add_measured(
+                report, ["scale_total_time"], backend_cfg, dataset_label, param, "s",
+                lambda cfg: [_median_s(functools.partial(run, cfg, run_cfg))],
             )
     return report

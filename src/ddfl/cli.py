@@ -2,7 +2,7 @@
 
 Subcommands: run, bench-query, bench-comm, bench-scale, conformance.
 Exit codes are a stable contract: 0 success, 2 configuration error,
-3 runtime error.
+3 runtime error. A bench command exits 3 only when no backend measured.
 """
 
 from __future__ import annotations
@@ -65,9 +65,24 @@ def _backend_configs(values) -> list[BackendConfig]:
     return [backend_config(values, kind) for kind in backend_kinds(values)]
 
 
-def _emit_report(report, args) -> None:
-    text = report.to_markdown() if args.markdown else report.to_csv()
-    _write_output(text, args.out)
+def _emit_report(report, args) -> int:
+    """Write a bench report; its exit code is 3 when no backend measured.
+
+    That is, when no row holds a number apart from the size rows, whose
+    backend is ``-``.
+    """
+    _write_output(report.to_markdown() if args.markdown else report.to_csv(), args.out)
+    measured = any(
+        row.backend != "-" and isinstance(row.value, (int, float)) for row in report.rows
+    )
+    return EXIT_OK if measured else EXIT_RUNTIME
+
+
+def _synthetic(spec) -> SyntheticSpec:
+    # bench-comm sizes its model from the spec, bench-scale its datasets.
+    if not isinstance(spec, SyntheticSpec):
+        raise ConfigError("key 'dataset' must be a synthetic spec for this command")
+    return spec
 
 
 def cmd_bench_query(args) -> int:
@@ -77,19 +92,14 @@ def cmd_bench_query(args) -> int:
     if args.payload_bytes < 1:
         raise ConfigError(f"--payload-bytes must be >= 1, got {args.payload_bytes}")
     report = bench_query(_backend_configs(values), args.records, args.payload_bytes)
-    _emit_report(report, args)
-    measured = [row for row in report.rows if row.value != "unavailable"]
-    return EXIT_OK if measured else EXIT_RUNTIME
+    return _emit_report(report, args)
 
 
 def cmd_bench_comm(args) -> int:
     values = parse_config_file(args.config)
-    spec = parse_dataset_spec(values.get("dataset", "synthetic"), values)
-    if not isinstance(spec, SyntheticSpec):
-        raise ConfigError("bench-comm needs a synthetic dataset spec to size the model")
+    spec = _synthetic(parse_dataset_spec(values.get("dataset", "synthetic"), values))
     report = bench_comm(_backend_configs(values), spec.d, spec.k, group_key_from(values))
-    _emit_report(report, args)
-    return EXIT_OK
+    return _emit_report(report, args)
 
 
 def cmd_bench_scale(args) -> int:
@@ -104,10 +114,9 @@ def cmd_bench_scale(args) -> int:
     base_values = dict(values)
     base_values["backend"] = backends[0].kind.value
     base = experiment_config(base_values)
+    _synthetic(base.dataset)
     report = bench_scale(base, backends, client_counts, fixed_shard=args.fixed_shard)
-    _emit_report(report, args)
-    completed = [row for row in report.rows if not str(row.value).startswith("failed")]
-    return EXIT_OK if completed else EXIT_RUNTIME
+    return _emit_report(report, args)
 
 
 def conformance_exit_code(results: list[tuple[str, list[PropertyResult]]]) -> int:

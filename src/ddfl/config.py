@@ -181,6 +181,12 @@ def experiment_config(values: dict[str, str]) -> ExperimentConfig:
     if len(kinds) != 1:
         raise ConfigError("key 'backend' must name exactly one backend for this command")
     dataset = parse_dataset_spec(read(values, "dataset"), values)
+    n_clients = read(values, "n_clients")
+    # IDX sizes are known only once the files load.
+    if isinstance(dataset, SyntheticSpec) and n_clients > dataset.n:
+        raise ConfigError(
+            f"key 'n_clients' ({n_clients}) exceeds the {dataset.n} samples in 'dataset'"
+        )
     seed = read(values, "seed")
     try:
         train = TrainConfig(
@@ -190,7 +196,7 @@ def experiment_config(values: dict[str, str]) -> ExperimentConfig:
             seed=seed,
         )
         return ExperimentConfig(
-            n_clients=read(values, "n_clients"),
+            n_clients=n_clients,
             rounds=read(values, "rounds"),
             train=train,
             backend=backend_config(values, kinds[0]),

@@ -8,6 +8,7 @@ also supply a ``reopen`` callable to check durability across restarts.
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 from dataclasses import dataclass
@@ -164,6 +165,18 @@ def _check_concurrent_writers(store: ModelStore, rng: random.Random, writers: in
     assert len(losses) == writers - 1
 
 
+def _check_durability(reopen: Callable, store: ModelStore, rng: random.Random) -> None:
+    # Closes ``store`` as a restart would; the suite's own close is then a no-op.
+    record = _random_record(rng, 1, 1)
+    store.put(record)
+    store.store_global(1, _random_record(rng, 0, 1))
+    store.close()
+    with reopen() as again:
+        got = again.get(record.key)
+        assert got.payload == record.payload, "payload changed across reopen"
+        assert again.latest_round() == 1, "global lost across reopen"
+
+
 # Seeds the random records of every property, so a failure reproduces.
 SUITE_SEED = 20240101
 
@@ -186,32 +199,18 @@ def run_suite(
     ``factory`` must return a fresh, empty store on each call. When
     ``reopen`` is given it must return a store over the same persistent
     state as the most recent ``factory`` store; it is used for the
-    durability property.
+    durability property, which runs last.
     """
+    properties = list(CORE_PROPERTIES)
+    if reopen is not None:
+        properties.append(("durability_reopen", functools.partial(_check_durability, reopen)))
     results = []
     rng = random.Random(SUITE_SEED)
-    for name, check in CORE_PROPERTIES:
+    for name, check in properties:
         with factory() as store:
             try:
                 check(store, rng)
                 results.append(PropertyResult(name, True))
             except Exception as exc:  # any leak is a conformance failure
                 results.append(PropertyResult(name, False, f"{type(exc).__name__}: {exc}"))
-
-    if reopen is not None:
-        store = factory()
-        try:
-            record = _random_record(rng, 1, 1)
-            store.put(record)
-            store.store_global(1, _random_record(rng, 0, 1))
-            store.close()
-            store = reopen()
-            got = store.get(record.key)
-            assert got.payload == record.payload, "payload changed across reopen"
-            assert store.latest_round() == 1, "global lost across reopen"
-            results.append(PropertyResult("durability_reopen", True))
-        except Exception as exc:
-            results.append(PropertyResult("durability_reopen", False, f"{type(exc).__name__}: {exc}"))
-        finally:
-            store.close()
     return results

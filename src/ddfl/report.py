@@ -19,17 +19,6 @@ class MetricRow:
     unit: str
 
 
-def _parse_value(text: str) -> int | float | str:
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def _format_value(value: int | float | str) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -52,18 +41,6 @@ class MetricsReport:
                 [row.metric, row.backend, row.dataset, row.param, _format_value(row.value), row.unit]
             )
         return out.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "MetricsReport":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header}")
-        report = cls()
-        for fields in reader:
-            metric, backend, dataset, param, value, unit = fields
-            report.add(metric, backend, dataset, param, _parse_value(value), unit)
-        return report
 
     def to_markdown(self) -> str:
         cells = [CSV_HEADER] + [

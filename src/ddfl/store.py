@@ -83,8 +83,7 @@ class ModelStore(abc.ABC):
     """
 
     def __init__(self, namespace: str):
-        if not namespace:
-            raise ValidationError("namespace must be a non-empty string")
+        check_namespace(namespace)
         self.namespace = namespace
 
     @abc.abstractmethod
@@ -126,6 +125,12 @@ class ModelStore(abc.ABC):
     def __exit__(self, *exc_info):
         self.close()
         return False
+
+
+def check_namespace(namespace: str) -> None:
+    # Disk backends keep a namespace in a directory of that name under their root.
+    if namespace in ("", ".", "..") or any(c in namespace for c in "/\\\0"):
+        raise ValidationError(f"namespace must be a single path component, got {namespace!r}")
 
 
 def check_fetch_round_args(round_number: int) -> None:

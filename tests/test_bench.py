@@ -4,7 +4,9 @@ import pytest
 
 import ddfl
 from ddfl import bench
+from ddfl.backends.memory import MemoryStore
 from ddfl.bench import bench_comm, bench_query, bench_scale
+from ddfl.errors import BackendUnavailableError
 
 
 @pytest.fixture
@@ -30,8 +32,48 @@ def test_query_reports_unavailable_backend(tmp_path):
     report = bench_query(configs, records=3, payload_bytes=16)
     by_backend = {(r.backend, r.metric): r.value for r in report.rows}
     assert isinstance(by_backend[("memory", "query_get_median")], float)
-    assert by_backend[("filesystem", "query_get_median")] == "unavailable"
-    assert by_backend[("filesystem", "query_get_p95")] == "unavailable"
+    assert by_backend[("filesystem", "query_get_median")] == "failed:BackendUnavailableError"
+    assert by_backend[("filesystem", "query_get_p95")] == "failed:BackendUnavailableError"
+
+
+class LostConnectionStore(MemoryStore):
+    """Opens and stores, then loses its connection on every read."""
+
+    def get(self, key):
+        raise BackendUnavailableError("connection lost")
+
+
+@pytest.fixture
+def queue_loses_connection(monkeypatch):
+    """Make the queue kind open as a store whose ``get`` raises."""
+
+    def open_backend(cfg):
+        if cfg.kind is ddfl.BackendKind.QUEUE:
+            return LostConnectionStore(cfg.namespace)
+        return ddfl.open_backend(cfg)
+
+    monkeypatch.setattr(bench, "open_backend", open_backend)
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [
+        lambda configs: bench_query(configs, records=3, payload_bytes=16),
+        lambda configs: bench_comm(configs, d=4, k=2, group_key=ddfl.generate_key(rng_seed=1)),
+    ],
+    ids=["query", "comm"],
+)
+def test_backend_failing_after_open_fails_only_its_rows(suite, queue_loses_connection):
+    configs = [
+        ddfl.BackendConfig(kind=ddfl.BackendKind.QUEUE),
+        ddfl.BackendConfig(kind=ddfl.BackendKind.MEMORY),
+    ]
+    timed: dict[str, list] = {}
+    for row in suite(configs).rows:
+        if row.backend != "-":
+            timed.setdefault(row.backend, []).append(row.value)
+    assert timed["queue"] == ["failed:BackendUnavailableError"] * len(timed["memory"])
+    assert timed["memory"] and all(isinstance(v, float) for v in timed["memory"])
 
 
 def test_comm_report_sizes_are_exact():

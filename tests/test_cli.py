@@ -5,8 +5,11 @@ import pytest
 
 from ddfl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, conformance_exit_code, main
 from ddfl.conformance import PropertyResult
-from ddfl.report import MetricsReport
 from test_data import write_idx_pair
+
+
+def csv_rows(text):
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -76,6 +79,28 @@ def test_run_bad_synthetic_size_exit_2(dataset, tmp_path, capsys):
     assert "dataset" in capsys.readouterr().err
 
 
+def test_run_more_clients_than_samples_exit_2(tmp_path, capsys):
+    text = BASE.replace("n_clients = 2", "n_clients = 4").replace("200x4x2", "2x4x2")
+    assert main(["run", write_config(tmp_path, text)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "n_clients" in err and "dataset" in err
+
+
+@pytest.mark.parametrize("namespace", ["../escaped", "ABSOLUTE"], ids=["parent", "absolute"])
+def test_run_namespace_outside_root_exit_2(namespace, tmp_path, capsys):
+    work = tmp_path / "work"
+    root = work / "root"
+    root.mkdir(parents=True)
+    if namespace == "ABSOLUTE":
+        namespace = str(work / "elsewhere")
+    text = BASE.replace("backend = memory", "backend = filesystem")
+    text += f"root_path = {root}\nnamespace = {namespace}\n"
+    assert main(["run", write_config(tmp_path, text)]) == EXIT_CONFIG
+    assert "namespace" in capsys.readouterr().err
+    assert [p.name for p in work.iterdir()] == ["root"]
+    assert not any(root.iterdir())
+
+
 def test_run_missing_root_exit_3(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -90,15 +115,13 @@ def test_bench_query_row_count(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.replace("backend = memory", "backend = memory,queue"))
     code = main(["bench-query", cfg, "--records", "5", "--payload-bytes", "64"])
     assert code == EXIT_OK
-    report = MetricsReport.from_csv(capsys.readouterr().out)
-    assert len(report.rows) == 4  # 2 backends x (median, p95)
+    assert len(csv_rows(capsys.readouterr().out)) == 4  # 2 backends x (median, p95)
 
 
 def test_bench_query_single_record_p95_equals_median(tmp_path, capsys):
     code = main(["bench-query", write_config(tmp_path, BASE), "--records", "1"])
     assert code == EXIT_OK
-    report = MetricsReport.from_csv(capsys.readouterr().out)
-    values = {row.metric: row.value for row in report.rows}
+    values = {row["metric"]: float(row["value"]) for row in csv_rows(capsys.readouterr().out)}
     assert values["query_get_median"] == values["query_get_p95"]
 
 
@@ -109,8 +132,7 @@ def test_bench_query_all_backends(tmp_path, capsys):
     )
     code = main(["bench-query", cfg, "--records", "3", "--payload-bytes", "32"])
     assert code == EXIT_OK
-    report = MetricsReport.from_csv(capsys.readouterr().out)
-    assert len(report.rows) == 8  # 4 backends x 2 statistics
+    assert len(csv_rows(capsys.readouterr().out)) == 8  # 4 backends x 2 statistics
 
 
 def test_bench_comm_values(tmp_path, capsys):
@@ -119,12 +141,27 @@ def test_bench_comm_values(tmp_path, capsys):
     )
     code = main(["bench-comm", cfg])
     assert code == EXIT_OK
-    report = MetricsReport.from_csv(capsys.readouterr().out)
-    values = {row.metric: row.value for row in report.rows}
-    assert values["param_count"] == 7850
-    assert values["serialized_size"] == 23 + 4 * 7850
-    assert values["bytes_per_value"] == pytest.approx((23 + 4 * 7850) / 7850)
-    assert "comm_time" in values
+    values = {row["metric"]: row["value"] for row in csv_rows(capsys.readouterr().out)}
+    assert values["param_count"] == "7850"
+    assert values["serialized_size"] == str(23 + 4 * 7850)
+    assert float(values["bytes_per_value"]) == pytest.approx((23 + 4 * 7850) / 7850)
+    assert float(values["comm_time"]) > 0
+
+
+def test_bench_comm_no_backend_measured_exit_3(tmp_path, capsys):
+    text = BASE.replace("backend = memory", "backend = filesystem")
+    text += f"root_path = {tmp_path / 'missing-root'}\n"
+    assert main(["bench-comm", write_config(tmp_path, text)]) == EXIT_RUNTIME
+    values = {row["metric"]: row["value"] for row in csv_rows(capsys.readouterr().out)}
+    assert values["comm_time"] == "failed:BackendUnavailableError"
+
+
+def test_bench_scale_idx_dataset_exit_2(tmp_path, capsys):
+    images, labels = write_idx_pair(tmp_path, list(range(64)), [i % 2 for i in range(16)], 2, 2)
+    text = BASE.replace("dataset = synthetic:200x4x2", "dataset = idx")
+    text += f"idx_images = {images}\nidx_labels = {labels}\n"
+    assert main(["bench-scale", write_config(tmp_path, text), "--clients", "2"]) == EXIT_CONFIG
+    assert "dataset" in capsys.readouterr().err
 
 
 def test_bench_markdown_out_file(tmp_path):
@@ -141,10 +178,10 @@ def test_bench_scale_rows(tmp_path, capsys):
     )
     code = main(["bench-scale", cfg, "--clients", "1,2"])
     assert code == EXIT_OK
-    report = MetricsReport.from_csv(capsys.readouterr().out)
-    assert len(report.rows) == 2
-    assert all(row.unit == "s" for row in report.rows)
-    assert all(isinstance(row.value, float) and row.value > 0 for row in report.rows)
+    rows = csv_rows(capsys.readouterr().out)
+    assert len(rows) == 2
+    assert all(row["unit"] == "s" for row in rows)
+    assert all(float(row["value"]) > 0 for row in rows)
 
 
 def test_bench_scale_bad_clients(tmp_path, capsys):

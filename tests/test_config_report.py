@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 
 import pytest
 
@@ -189,16 +191,21 @@ def test_csv_header_exact():
 
 
 def test_csv_roundtrip():
+    # What a reader of the CSV gets back: floats exactly (repr), ints, failed rows.
     report = MetricsReport()
-    report.add("query_get_median", "memory", "synthetic", "records=10", 0.0123, "ms")
+    report.add("query_get_median", "memory", "synthetic", "records=10", 0.1 + 0.2, "ms")
     report.add("param_count", "-", "synthetic", "d=784;k=10", 7850, "values")
-    report.add("query_get_median", "filesystem", "synthetic", "records=10", "unavailable", "ms")
-    again = MetricsReport.from_csv(report.to_csv())
-    assert sorted(map(repr, again.rows)) == sorted(map(repr, report.rows))
-    # Value types survive: float stays float, int stays int, str stays str.
-    assert isinstance(again.rows[0].value, float)
-    assert isinstance(again.rows[1].value, int)
-    assert isinstance(again.rows[2].value, str)
+    report.add(
+        "query_get_median", "filesystem", "synthetic", "records=10",
+        "failed:BackendUnavailableError", "ms",
+    )
+    rows = list(csv.DictReader(io.StringIO(report.to_csv())))
+    assert [list(row.values()) for row in rows] == [
+        [r.metric, r.backend, r.dataset, r.param, str(r.value), r.unit] for r in report.rows
+    ]
+    assert float(rows[0]["value"]) == 0.1 + 0.2
+    assert int(rows[1]["value"]) == 7850
+    assert rows[2]["value"] == "failed:BackendUnavailableError"
 
 
 def test_markdown_table_shape():

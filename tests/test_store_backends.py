@@ -239,6 +239,33 @@ def test_filesystem_missing_root_unavailable(tmp_path):
         open_backend(cfg)
 
 
+STORE_CONSTRUCTORS = {
+    BackendKind.MEMORY: lambda root, ns: MemoryStore(ns),
+    BackendKind.FILESYSTEM: FilesystemStore,
+    BackendKind.QUEUE: lambda root, ns: QueueStore(ns),
+    BackendKind.RELATIONAL: RelationalStore,
+}
+
+
+@pytest.mark.parametrize(
+    "namespace",
+    [".", "..", "../escaped", "a/b", "a\\b", "a\x00b", "ABSOLUTE"],
+    ids=["dot", "dotdot", "parent", "slash", "backslash", "nul", "absolute"],
+)
+def test_namespace_must_be_one_path_component(namespace, tmp_path):
+    root = tmp_path / "root"
+    root.mkdir()
+    if namespace == "ABSOLUTE":
+        namespace = str(tmp_path / "elsewhere")
+    for kind, open_store in STORE_CONSTRUCTORS.items():
+        with pytest.raises(ValidationError, match="namespace"):
+            BackendConfig(kind=kind, root_path=root, namespace=namespace)
+        with pytest.raises(ValidationError, match="namespace"):
+            open_store(root, namespace)
+    assert [p.name for p in tmp_path.iterdir()] == ["root"]
+    assert not any(root.iterdir())
+
+
 def test_fsync_flag_accepted(tmp_path):
     cfg = BackendConfig(
         kind=BackendKind.FILESYSTEM, root_path=tmp_path, namespace="x", fsync=True
