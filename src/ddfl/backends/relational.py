@@ -118,10 +118,14 @@ class RelationalStore(ModelStore):
         rows = self._query(
             'SELECT client_id, "round", iteration, payload, accuracy, elapsed_ms,'
             ' stored_at FROM models WHERE namespace = ? AND "round" = ?'
-            " AND client_id >= 0 ORDER BY client_id, iteration",
+            " AND client_id >= 0",
             (self.namespace, round_number),
         )
-        return [self._row_to_record(row) for row in rows]
+        # Sorted here, not by ORDER BY: sqlite would copy every payload into
+        # a temporary sorter.
+        records = [self._row_to_record(row) for row in rows]
+        records.sort(key=lambda rec: (rec.key.client_id, rec.key.iteration))
+        return records
 
     def latest_round(self) -> int:
         ((latest,),) = self._query(

@@ -114,7 +114,12 @@ def cmd_bench_scale(args) -> int:
     base_values = dict(values)
     base_values["backend"] = backends[0].kind.value
     base = experiment_config(base_values)
-    _synthetic(base.dataset)
+    spec = _synthetic(base.dataset)
+    # With --fixed-shard the dataset grows with the client count.
+    if not args.fixed_shard and max(client_counts) > spec.n:
+        raise ConfigError(
+            f"--clients {max(client_counts)} exceeds the {spec.n} samples in 'dataset'"
+        )
     report = bench_scale(base, backends, client_counts, fixed_shard=args.fixed_shard)
     return _emit_report(report, args)
 

@@ -256,8 +256,12 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     if isinstance(spec, SyntheticSpec):
         test_n = spec.resolved_test_n()
         full = generate_synthetic(spec.n + test_n, spec.d, spec.k, cfg.seed)
+        # train is a view of the generated matrix; the test set gets its own
+        # rows, so the matrix is freed once the caller drops train.
         train = Dataset(full.features[: spec.n], full.labels[: spec.n], full.num_classes)
-        test = Dataset(full.features[spec.n :], full.labels[spec.n :], full.num_classes)
+        test = Dataset(
+            full.features[spec.n :].copy(), full.labels[spec.n :].copy(), full.num_classes
+        )
         return train, test
     full = load_idx(spec.images, spec.labels)
     n = len(full)
@@ -274,9 +278,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundOutcome]:
     train, test = build_datasets(cfg)
     shards = partition(train, cfg.n_clients, cfg.seed)
     shard_sizes = [len(s) for s in shards]
+    layer = (train.dim, train.num_classes)
+    # The shards hold copies of its rows; keeping train would keep them twice.
+    del train
 
     with open_backend(cfg.backend) as store:
-        initial = init_model([(train.dim, train.num_classes)], cfg.seed)
+        initial = init_model([layer], cfg.seed)
         baseline = evaluate(initial, test)
         store.store_global(
             0,

@@ -7,8 +7,9 @@ gradient: ``local_train`` calls it on each mini-batch and
 ``loss_and_gradient`` on a whole dataset, so SGD steps along exactly the
 gradient that the finite-difference checks verify. Local SGD gathers each
 mini-batch's float32 rows and only then converts them to float64, which is
-exact, so no float64 copy of a whole shard is made. With a fixed seed the
-batch order, and therefore every parameter bit, is reproducible.
+exact, so no float64 copy of a whole shard is made. ``evaluate`` likewise
+converts the test set in blocks of ``EVAL_BLOCK_ROWS`` rows. With a fixed
+seed the batch order, and therefore every parameter bit, is reproducible.
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ import numpy as np
 from .data import Dataset
 from .errors import NumericError, ValidationError
 from .params import ParameterVector
+
+# Rows of the test set that ``evaluate`` converts to float64 at a time. The
+# remainder joins the last block, so no block is shorter than this unless
+# the whole set is: a product of few rows can take another BLAS kernel
+# (OpenBLAS has a small-matrix path) and round differently from the same
+# rows inside the whole-set product.
+EVAL_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -71,10 +79,11 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+def _row_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row cross-entropy ``-log p[label]`` of softmax rows ``probs``."""
     # log(0) -> inf is the divergence signal callers test for; keep it quiet.
     with np.errstate(divide="ignore"):
-        return float(-np.log(probs[np.arange(len(labels)), labels]).mean())
+        return -np.log(probs[np.arange(len(labels)), labels])
 
 
 def _softmax_cross_entropy(
@@ -90,7 +99,7 @@ def _softmax_cross_entropy(
     scores = x @ w
     scores += b
     probs = _softmax_rows(scores)
-    loss = _mean_cross_entropy(probs, y)
+    loss = float(_row_cross_entropy(probs, y).mean())
     probs[np.arange(m), y] -= 1.0
     probs /= m
     return loss, x.T @ probs, probs.sum(axis=0)
@@ -154,16 +163,34 @@ def local_train(params: ParameterVector, data: Dataset, cfg: TrainConfig) -> Par
     )
 
 
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of consecutive row blocks covering ``range(n)``.
+
+    Every block has ``EVAL_BLOCK_ROWS`` rows except the last, which also
+    takes the remainder.
+    """
+    stops = list(range(EVAL_BLOCK_ROWS, n - EVAL_BLOCK_ROWS + 1, EVAL_BLOCK_ROWS)) + [n]
+    return list(zip([0] + stops[:-1], stops))
+
+
 def evaluate(params: ParameterVector, data: Dataset) -> EvalResult:
-    """Accuracy (argmax, ties to the lowest class index) and mean cross-entropy."""
+    """Accuracy (argmax, ties to the lowest class index) and mean cross-entropy.
+
+    Rows are converted to float64 one block at a time. The per-row losses
+    are gathered in one vector whose mean is taken once, so the result is
+    the same as that of the whole-set computation.
+    """
     _check_shapes(params, data)
-    w, b = params.layer(0)
-    x = data.features.astype(np.float64)
-    y = data.labels
+    w0, b0 = params.layer(0)
+    w = w0.astype(np.float64)
+    b = b0.astype(np.float64)
     n = len(data)
-    scores = x @ w.astype(np.float64) + b.astype(np.float64)
-    predictions = scores.argmax(axis=1)
-    correct = int((predictions == y).sum())
-    probs = _softmax_rows(scores)
-    mean_loss = _mean_cross_entropy(probs, y)
-    return EvalResult(accuracy=correct / n, mean_loss=mean_loss, sample_count=n)
+    losses = np.empty(n)
+    correct = 0
+    for start, stop in _row_blocks(n):
+        y = data.labels[start:stop]
+        scores = data.features[start:stop].astype(np.float64) @ w
+        scores += b
+        correct += int((scores.argmax(axis=1) == y).sum())
+        losses[start:stop] = _row_cross_entropy(_softmax_rows(scores), y)
+    return EvalResult(accuracy=correct / n, mean_loss=float(losses.mean()), sample_count=n)

@@ -308,7 +308,8 @@ def test_criterion_7_scalability_harness(tmp_path):
             ["bench-scale", str(config_path), "--clients", "2,4,6,8", "--out", str(default_out)]
         )
         assert code == EXIT_OK
-        rows = list(csv.DictReader(default_out.open()))
+        with default_out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 8  # 2 backends x 4 client counts
         assert all(float(r["value"]) > 0 for r in rows)
 
@@ -326,8 +327,9 @@ def test_criterion_7_scalability_harness(tmp_path):
         )
         assert code == EXIT_OK
         by_backend: dict[str, list[float]] = {}
-        for row in csv.DictReader(fixed_out.open()):
-            by_backend.setdefault(row["backend"], []).append(float(row["value"]))
+        with fixed_out.open() as fh:
+            for row in csv.DictReader(fh):
+                by_backend.setdefault(row["backend"], []).append(float(row["value"]))
         assert set(by_backend) == {"memory", "filesystem"}
         for backend, times in by_backend.items():
             assert len(times) == 4

@@ -188,6 +188,17 @@ def test_bench_scale_bad_clients(tmp_path, capsys):
     assert main(["bench-scale", write_config(tmp_path, BASE), "--clients", "2,zero"]) == EXIT_CONFIG
 
 
+def test_bench_scale_clients_above_samples_exit_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, BASE.replace("dataset = synthetic:200x4x2", "dataset = synthetic:6x4x2")
+    )
+    assert main(["bench-scale", cfg, "--clients", "2,8"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--clients 8" in err and "6 samples" in err
+    # With --fixed-shard the dataset grows with the client count, so 8 is fine.
+    assert main(["bench-scale", cfg, "--clients", "2,8", "--fixed-shard"]) == EXIT_OK
+
+
 def test_conformance_all_green(capsys):
     assert main(["conformance", "--backend", "all"]) == EXIT_OK
     out = capsys.readouterr().out

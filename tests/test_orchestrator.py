@@ -5,7 +5,7 @@ import pytest
 
 from ddfl.backends import BackendConfig, BackendKind, open_backend
 from ddfl.crypto import decrypt, encrypt, generate_key
-from ddfl.data import generate_synthetic, load_idx
+from ddfl.data import Dataset, generate_synthetic, load_idx
 from ddfl.errors import (
     AuthenticationError,
     BarrierTimeoutError,
@@ -394,6 +394,25 @@ def test_experiment_surfaces_client_error_over_barrier_timeout(barrier_timeout_m
     with pytest.raises(NumericError):
         run_experiment(cfg)
     assert time.monotonic() - start < 5.0
+
+
+def _owning_array(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def test_synthetic_test_set_holds_its_own_rows():
+    # A test set that viewed the generated matrix would keep all of it, the
+    # training rows included, alive for the whole run. (np.shares_memory
+    # cannot see that: the two views do not overlap.)
+    cfg = memory_cfg(dataset=SyntheticSpec(n=200, d=4, k=2, test_n=50))
+    train, test = build_datasets(cfg)
+    assert _owning_array(test.features).nbytes == test.features.nbytes
+    assert _owning_array(test.labels).nbytes == test.labels.nbytes
+    full = generate_synthetic(250, 4, 2, cfg.seed)
+    assert test == Dataset(full.features[200:], full.labels[200:], 2)
+    assert train == Dataset(full.features[:200], full.labels[:200], 2)
 
 
 def idx_pair_with_row_ids(tmp_path, n):

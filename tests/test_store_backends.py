@@ -355,6 +355,27 @@ def test_relational_reads_on_closed_store_raise_unavailable(read, tmp_path):
         read(store)
 
 
+def test_relational_fetch_round_sorts_without_a_temporary_sorter(tmp_path):
+    # An ORDER BY that no index serves copies every payload into a temporary
+    # b-tree; fetch_round sorts its records in Python instead.
+    store = RelationalStore(tmp_path, "ns")
+    for client_id, iteration in ((2, 0), (0, 1), (1, 0), (0, 0)):
+        store.put(
+            ModelRecord(key=StoreKey(client_id, 3, iteration), payload=b"p", stored_at=1)
+        )
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    records = store.fetch_round(3, 3)
+    store._conn.set_trace_callback(None)
+    assert [(rec.key.client_id, rec.key.iteration) for rec in records] == [
+        (0, 0), (0, 1), (1, 0), (2, 0)
+    ]
+    (select,) = statements
+    plan = [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + select)]
+    assert plan and not any("TEMP B-TREE" in step for step in plan), plan
+    store.close()
+
+
 # --- payload opacity ---------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,15 @@ import pytest
 from ddfl.data import Dataset
 from ddfl.errors import NumericError, ValidationError
 from ddfl.params import ParameterVector, init_model
-from ddfl.training import EvalResult, TrainConfig, evaluate, local_train, loss_and_gradient
+from ddfl.training import (
+    EVAL_BLOCK_ROWS,
+    EvalResult,
+    TrainConfig,
+    _row_blocks,
+    evaluate,
+    local_train,
+    loss_and_gradient,
+)
 
 
 def blob_dataset(n=200, seed=0, std=0.5):
@@ -223,6 +232,77 @@ def test_eval_result_fields():
     assert isinstance(result, EvalResult)
     assert 0.0 <= result.accuracy <= 1.0
     assert result.mean_loss >= 0.0
+
+
+def whole_set_evaluation(params, data):
+    """Accuracy and mean loss from one float64 product over every row at once."""
+    w, b = params.layer(0)
+    scores = data.features.astype(np.float64) @ w.astype(np.float64) + b.astype(np.float64)
+    n = len(data)
+    correct = int((scores.argmax(axis=1) == data.labels).sum())
+    scores -= scores.max(axis=1, keepdims=True)
+    probs = np.exp(scores)
+    probs /= probs.sum(axis=1, keepdims=True)
+    mean_loss = float(-np.log(probs[np.arange(n), data.labels]).mean())
+    return EvalResult(accuracy=correct / n, mean_loss=mean_loss, sample_count=n)
+
+
+def test_blocked_evaluate_matches_whole_set_bits():
+    # Three full blocks and a ragged remainder. Small integer features and
+    # weights in eighths make every score exact under any summation order,
+    # so the blocks, the per-row losses and their one mean are what is
+    # compared, not how a BLAS orders its sums.
+    n, d, k = 3 * EVAL_BLOCK_ROWS + 37, 6, 4
+    rng = np.random.default_rng(11)
+    x = rng.integers(-4, 5, size=(n, d)).astype(np.float32)
+    y = rng.integers(0, k, n)
+    # All-zero rows score only the bias, whose two top classes tie: the tie
+    # goes to class 0, so those labelled 1 are wrong. One lands in each block.
+    tied = [5, EVAL_BLOCK_ROWS + 6, 2 * EVAL_BLOCK_ROWS + 7, n - 1]
+    x[tied] = 0.0
+    y[tied] = [0, 1, 1, 0]
+    values = np.concatenate([rng.integers(-16, 17, size=d * k) / 8.0, [0.5, 0.5, -0.25, 0.0]])
+    params = ParameterVector(values.astype(np.float32), ((d, k),))
+    data = Dataset(x, y, k)
+
+    result = evaluate(params, data)
+    expected = whole_set_evaluation(params, data)
+    assert result.accuracy.hex() == expected.accuracy.hex()
+    assert result.mean_loss.hex() == expected.mean_loss.hex()
+    assert result.sample_count == n
+    # Taking each block's mean and then the mean of those differs in the
+    # last bits here, so the comparison above can tell the two apart.
+    blocks = np.split(np.arange(n), [EVAL_BLOCK_ROWS, 2 * EVAL_BLOCK_ROWS, 3 * EVAL_BLOCK_ROWS])
+    block_means = [whole_set_evaluation(params, Dataset(x[i], y[i], k)).mean_loss for i in blocks]
+    assert float(np.average(block_means, weights=[len(i) for i in blocks])) != expected.mean_loss
+
+
+@pytest.mark.parametrize(
+    "n", [1, EVAL_BLOCK_ROWS - 1, EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS + 1, 2 * EVAL_BLOCK_ROWS - 1]
+)
+def test_row_blocks_cover_every_row_and_none_is_short(n):
+    # A short block could take another BLAS kernel than the whole set would.
+    blocks = _row_blocks(n)
+    starts = [start for start, _ in blocks]
+    stops = [stop for _, stop in blocks]
+    assert starts == [0] + stops[:-1] and stops[-1] == n
+    sizes = [stop - start for start, stop in blocks]
+    assert all(size == EVAL_BLOCK_ROWS for size in sizes[:-1])
+    assert min(n, EVAL_BLOCK_ROWS) <= sizes[-1] < 2 * EVAL_BLOCK_ROWS
+
+
+def test_evaluate_peak_memory_stays_below_half_a_float64_copy():
+    n, d, k = 5000, 784, 10
+    rng = np.random.default_rng(12)
+    data = Dataset(rng.standard_normal((n, d), dtype=np.float32), rng.integers(0, k, n), k)
+    params = init_model([(d, k)], seed=0)
+    tracemalloc.start()
+    try:
+        evaluate(params, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8 / 2, f"evaluate peaked at {peak / 1e6:.1f} MB"
 
 
 # --- one gradient for checks and SGD -------------------------------------------
