@@ -54,10 +54,3 @@ try:
     ddfl.decrypt(ddfl.generate_key(rng_seed=7), token)
 except ddfl.AuthenticationError:
     print("wrong key rejected: AuthenticationError")
-
-# Optional freshness window: a ttl rejects stale tokens.
-old = ddfl.encrypt(key, b"stale", timestamp=0)
-try:
-    ddfl.decrypt(key, old, ttl=60, now=10**9)
-except ddfl.ExpiredTokenError:
-    print("expired token rejected: ExpiredTokenError")

@@ -26,9 +26,8 @@ with tempfile.TemporaryDirectory(prefix="ddfl-backends-") as tmp:
         # Same calls, regardless of what sits underneath.
         store.put(ModelRecord(key=StoreKey(0, 1), payload=b"client-0 model", stored_at=now_ms()))
         store.put(ModelRecord(key=StoreKey(1, 1), payload=b"client-1 model", stored_at=now_ms()))
-        store.store_global(
-            1,
-            ModelRecord(key=global_key(1), payload=b"global model", accuracy=0.9, stored_at=now_ms()),
+        store.put(
+            ModelRecord(key=global_key(1), payload=b"global model", accuracy=0.9, stored_at=now_ms())
         )
         round_records = store.fetch_round(1, 2)
         print(

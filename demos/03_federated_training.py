@@ -36,7 +36,7 @@ with tempfile.TemporaryDirectory(prefix="ddfl-train-") as root:
     with ddfl.open_backend(cfg.backend) as store:
         wrong_key = ddfl.generate_key(rng_seed=999)
         try:
-            ddfl.decrypt(wrong_key, store.fetch_global(10).payload)
+            ddfl.decrypt(wrong_key, store.get(ddfl.global_key(10)).payload)
         except ddfl.AuthenticationError:
             print("\nstored global model is opaque without the group key")
 

@@ -9,7 +9,7 @@ also ships the benchmark harness used to compare those backends.
 from .backends import BackendConfig, BackendKind, open_backend
 from .conformance import run_suite
 from .crypto import FernetKey, decrypt, encrypt, generate_key, token_length
-from .data import Dataset, generate_synthetic, load_idx, normalize, partition
+from .data import Dataset, generate_synthetic, load_idx, partition
 from .errors import (
     AuthenticationError,
     BackendUnavailableError,
@@ -18,7 +18,6 @@ from .errors import (
     CorruptRecordError,
     DDFLError,
     DuplicateKeyError,
-    ExpiredTokenError,
     FormatError,
     InvalidToken,
     NotFoundError,
@@ -66,7 +65,6 @@ __all__ = [
     "DuplicateKeyError",
     "EvalResult",
     "ExperimentConfig",
-    "ExpiredTokenError",
     "FernetKey",
     "FormatError",
     "IdxSpec",
@@ -97,7 +95,6 @@ __all__ = [
     "load_idx",
     "local_train",
     "loss_and_gradient",
-    "normalize",
     "open_backend",
     "partition",
     "run_client_round",

@@ -11,17 +11,22 @@ Flag bit 0 marks a present accuracy, bit 1 a present elapsed_ms; absent
 fields are written as zero. Writes go to a temp file in the same
 directory and are published with os.link, which is atomic and fails on an
 existing target, giving crash safety and duplicate detection in one step.
+
+Every OSError is a BackendUnavailableError, except a missing record on
+``get`` (NotFoundError) and an existing one on ``link`` (DuplicateKeyError).
+So is a namespace directory, made at open, that is no longer a directory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import uuid
 from collections.abc import Iterator
 from pathlib import Path
 
-from ..errors import CorruptRecordError, DuplicateKeyError, NotFoundError
+from ..errors import BackendUnavailableError, CorruptRecordError, DuplicateKeyError, NotFoundError
 from ..store import ModelRecord, ModelStore, StoreKey, check_fetch_round_args
 
 RECORD_MAGIC = b"DDR1"
@@ -93,50 +98,68 @@ class FilesystemStore(ModelStore):
     def _record_path(self, key: StoreKey) -> Path:
         return self._ns_dir / key.client_label / str(key.round) / f"{key.iteration}.rec"
 
+    @contextlib.contextmanager
+    def _available(self):
+        """Run the block on a live namespace; raise any OSError as BackendUnavailableError."""
+        try:
+            if not self._ns_dir.is_dir():
+                raise BackendUnavailableError(f"namespace directory {self._ns_dir} is gone")
+            yield
+        except OSError as exc:
+            raise BackendUnavailableError(f"namespace {self.namespace!r}: {exc}") from exc
+
     def put(self, record: ModelRecord) -> None:
         final = self._record_path(record.key)
-        final.parent.mkdir(parents=True, exist_ok=True)
         tmp = final.parent / f".{final.name}.tmp-{uuid.uuid4().hex}"
         blob = encode_record(record)
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-                if self.fsync:
-                    fh.flush()
-                    os.fsync(fh.fileno())
+        with self._available():
+            # No parents=True: a namespace that vanishes now must stay missing.
+            final.parent.parent.mkdir(exist_ok=True)
+            final.parent.mkdir(exist_ok=True)
             try:
-                os.link(tmp, final)
-            except FileExistsError:
-                raise DuplicateKeyError(
-                    f"{record.key} already stored in {self.namespace!r}"
-                ) from None
-            if self.fsync:
-                dir_fd = os.open(final.parent, os.O_RDONLY)
+                with open(tmp, "wb") as fh:
+                    fh.write(blob)
+                    if self.fsync:
+                        fh.flush()
+                        os.fsync(fh.fileno())
                 try:
-                    os.fsync(dir_fd)
-                finally:
-                    os.close(dir_fd)
-        finally:
-            tmp.unlink(missing_ok=True)
+                    os.link(tmp, final)
+                except FileExistsError:
+                    raise DuplicateKeyError(
+                        f"{record.key} already stored in {self.namespace!r}"
+                    ) from None
+                if self.fsync:
+                    dir_fd = os.open(final.parent, os.O_RDONLY)
+                    try:
+                        os.fsync(dir_fd)
+                    finally:
+                        os.close(dir_fd)
+            finally:
+                tmp.unlink(missing_ok=True)
 
     def get(self, key: StoreKey) -> ModelRecord:
         path = self._record_path(key)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            raise NotFoundError(f"{key} not in {self.namespace!r}") from None
+        with self._available():
+            try:
+                blob = path.read_bytes()
+            except FileNotFoundError:
+                raise NotFoundError(f"{key} not in {self.namespace!r}") from None
         return decode_record(blob, key, str(path))
 
     def fetch_round(self, round_number: int, expected_clients: int) -> list[ModelRecord]:
         check_fetch_round_args(round_number)
         records = []
-        for client_id, client_dir in _numbered_entries(self._ns_dir):
-            for iteration, path in _numbered_entries(client_dir / str(round_number), ".rec"):
-                key = StoreKey(client_id, round_number, iteration)
-                records.append(decode_record(path.read_bytes(), key, str(path)))
+        with self._available():
+            for client_id, client_dir in _numbered_entries(self._ns_dir):
+                for iteration, path in _numbered_entries(client_dir / str(round_number), ".rec"):
+                    key = StoreKey(client_id, round_number, iteration)
+                    records.append(decode_record(path.read_bytes(), key, str(path)))
         records.sort(key=lambda rec: (rec.key.client_id, rec.key.iteration))
         return records
 
     def latest_round(self) -> int:
-        rounds = _numbered_entries(self._ns_dir / "global")
-        return max((n for n, path in rounds if any(_numbered_entries(path, ".rec"))), default=0)
+        with self._available():
+            rounds = _numbered_entries(self._ns_dir / "global")
+            return max(
+                (n for n, path in rounds if any(_numbered_entries(path, ".rec"))), default=0
+            )

@@ -138,12 +138,13 @@ def bench_scale(
     """Total experiment wall time per (backend, client count).
 
     ``base.dataset`` must be a SyntheticSpec. Each point is the median of
-    ``REPETITIONS`` runs, each in a fresh namespace, so that one stall of
-    the host does not decide it; a point whose runs fail reads
-    ``failed:<ErrorClassName>``. By default the dataset size stays fixed,
-    so shards shrink as clients grow. With ``fixed_shard`` each client
-    keeps the same shard size and the total dataset grows, so total work
-    is non-decreasing in N.
+    ``REPETITIONS`` runs, each in a fresh namespace. A backend's points run
+    round-robin, one run of each per pass, so that a stall or drift of the
+    host falls on every point alike instead of deciding one; a point whose
+    run fails reads ``failed:<ErrorClassName>``. By default the dataset
+    size stays fixed, so shards shrink as clients grow. With
+    ``fixed_shard`` each client keeps the same shard size and the total
+    dataset grows, so total work is non-decreasing in N.
     """
     if not client_counts:
         raise DDFLError("client list must not be empty")
@@ -152,19 +153,31 @@ def bench_scale(
     report = MetricsReport()
     dataset_label = f"synthetic:{spec.n}x{spec.d}x{spec.k}"
 
-    def run(backend_cfg, run_cfg):
-        backend = _fresh_namespace(backend_cfg, f"scale{run_cfg.n_clients}")
-        run_experiment(dataclasses.replace(run_cfg, backend=backend))
+    def run_s(backend_cfg, n_clients):
+        n = shard_size * n_clients if fixed_shard else spec.n
+        cfg = dataclasses.replace(
+            base,
+            n_clients=n_clients,
+            dataset=dataclasses.replace(spec, n=n),
+            backend=_fresh_namespace(backend_cfg, f"scale{n_clients}"),
+        )
+        start = time.perf_counter()
+        run_experiment(cfg)
+        return time.perf_counter() - start
 
     for backend_cfg in backend_configs:
+        times = {n_clients: [] for n_clients in client_counts}
+        failed = {}
+        for _ in range(REPETITIONS):
+            for n_clients in times:
+                if n_clients in failed:
+                    continue
+                try:
+                    times[n_clients].append(run_s(backend_cfg, n_clients))
+                except DDFLError as exc:
+                    failed[n_clients] = f"failed:{type(exc).__name__}"
         for n_clients in client_counts:
-            n = shard_size * n_clients if fixed_shard else spec.n
-            run_cfg = dataclasses.replace(
-                base, n_clients=n_clients, dataset=dataclasses.replace(spec, n=n)
-            )
             param = f"clients={n_clients};fixed_shard={str(fixed_shard).lower()}"
-            _add_measured(
-                report, ["scale_total_time"], backend_cfg, dataset_label, param, "s",
-                lambda cfg: [_median_s(functools.partial(run, cfg, run_cfg))],
-            )
+            value = failed.get(n_clients) or statistics.median(times[n_clients])
+            report.add("scale_total_time", backend_cfg.kind.value, dataset_label, param, value, "s")
     return report

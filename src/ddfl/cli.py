@@ -221,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DDFLError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DuplicateKeyError, NotFoundError, ValidationError
-from .store import ModelRecord, ModelStore, StoreKey, global_key
+from .store import GLOBAL_CLIENT_ID, ModelRecord, ModelStore, StoreKey, global_key
 
 
 @dataclass
@@ -56,13 +56,13 @@ def _check_duplicate_rejection(store: ModelStore, rng: random.Random) -> None:
         pass
     else:
         raise AssertionError("second put of the same key did not raise DuplicateKeyError")
-    store.store_global(1, _random_record(rng, 0, 1))
+    store.put(_random_record(rng, GLOBAL_CLIENT_ID, 1))
     try:
-        store.store_global(1, _random_record(rng, 0, 1))
+        store.put(_random_record(rng, GLOBAL_CLIENT_ID, 1))
     except DuplicateKeyError:
         pass
     else:
-        raise AssertionError("second store_global for a round did not raise DuplicateKeyError")
+        raise AssertionError("second put of a round's global did not raise DuplicateKeyError")
 
 
 def _check_not_found(store: ModelStore, rng: random.Random) -> None:
@@ -92,12 +92,12 @@ def _check_sorted_fetch_round(store: ModelStore, rng: random.Random) -> None:
 def _check_latest_round(store: ModelStore, rng: random.Random) -> None:
     assert store.latest_round() == 0, "empty store must report latest_round 0"
     for round_number in (1, 3):
-        store.store_global(round_number, _random_record(rng, 0, round_number))
+        store.put(_random_record(rng, GLOBAL_CLIENT_ID, round_number))
         assert store.latest_round() == round_number
     # A client put never advances the global round.
     store.put(_random_record(rng, 0, 9))
     assert store.latest_round() == 3, "client records must not affect latest_round"
-    assert store.fetch_global(3).key == global_key(3)
+    assert store.get(global_key(3)).key == global_key(3)
 
 
 def _check_byte_fidelity(store: ModelStore, rng: random.Random, records: int = 1000) -> None:
@@ -169,7 +169,7 @@ def _check_durability(reopen: Callable, store: ModelStore, rng: random.Random) -
     # Closes ``store`` as a restart would; the suite's own close is then a no-op.
     record = _random_record(rng, 1, 1)
     store.put(record)
-    store.store_global(1, _random_record(rng, 0, 1))
+    store.put(_random_record(rng, GLOBAL_CLIENT_ID, 1))
     store.close()
     with reopen() as again:
         got = again.get(record.key)

@@ -6,10 +6,11 @@ Tokens are url-safe base64 over:
     | AES-128-CBC ciphertext (PKCS7, always padded)
     | HMAC-SHA256 tag over everything before it
 
-The token layout, padding, MAC handling, and TTL rules are implemented
-here; only the raw AES block cipher comes from the ``cryptography``
-package. Timestamp and IV are injectable so tests can be deterministic;
-left unset they fall back to the wall clock and OS entropy.
+The token layout, padding and MAC handling are implemented here; only
+the raw AES block cipher comes from the ``cryptography`` package.
+Timestamp and IV are injectable so tests can be deterministic; left unset
+they fall back to the wall clock and OS entropy. ``decrypt`` reads no
+timestamp: a global model must stay decryptable for a whole run.
 
 ``decrypt`` accepts a token only in the canonical encoding that
 ``encrypt`` writes, so that no two token strings decrypt to the same
@@ -37,14 +38,12 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .errors import (
     AuthenticationError,
-    ExpiredTokenError,
     TokenFormatError,
     UnsupportedVersionError,
     ValidationError,
 )
 
 TOKEN_VERSION = 0x80
-MAX_CLOCK_SKEW = 60
 _BLOCK = 16
 # version + timestamp + IV + HMAC tag; ciphertext sits in between
 _OVERHEAD = 1 + 8 + 16 + 32
@@ -204,19 +203,13 @@ def _decode_canonical(token: bytes) -> memoryview:
     return view
 
 
-def decrypt(
-    key: FernetKey,
-    token: bytes | str,
-    ttl: int | None = None,
-    now: int | None = None,
-) -> bytes:
+def decrypt(key: FernetKey, token: bytes | str) -> bytes:
     """Verify and decrypt a token, returning the original plaintext.
 
     A token that is not the canonical url-safe base64 of its bytes raises
     ``TokenFormatError`` (see ``_decode_canonical``), even when those
     bytes would pass the HMAC. The HMAC is checked (constant time) before
-    any decryption. With a ``ttl``, tokens older than ``ttl`` seconds or
-    more than 60 s in the future are rejected.
+    any decryption.
     """
     if isinstance(token, str):
         try:
@@ -228,14 +221,6 @@ def decrypt(
         raise TokenFormatError(f"token too short: {len(data)} decoded bytes")
     if data[0] != TOKEN_VERSION:
         raise UnsupportedVersionError(f"unknown token version 0x{data[0]:02x}")
-    timestamp = int.from_bytes(data[1:9], "big")
-    if ttl is not None:
-        if now is None:
-            now = int(time.time())
-        if timestamp + ttl < now:
-            raise ExpiredTokenError(f"token from {timestamp} expired at ttl={ttl}, now={now}")
-        if timestamp > now + MAX_CLOCK_SKEW:
-            raise ExpiredTokenError(f"token timestamp {timestamp} is too far in the future")
     tag = hmac_mod.new(key.signing_key, data[:-32], "sha256").digest()
     if not hmac_mod.compare_digest(tag, data[-32:]):
         raise AuthenticationError("HMAC verification failed")

@@ -1,4 +1,4 @@
-"""Datasets: synthetic Gaussian blobs, IDX ingestion, normalization, IID splits."""
+"""Datasets: synthetic Gaussian blobs, IDX ingestion, IID splits."""
 
 from __future__ import annotations
 
@@ -105,18 +105,6 @@ def generate_synthetic(n: int, d: int, k: int, seed: int) -> Dataset:
     order = rng.permutation(n)
     features = features[order]
     return Dataset(features, labels[order], k)
-
-
-def normalize(data: Dataset) -> Dataset:
-    """Standardize each feature column to mean 0 / std 1; constant columns become zeros."""
-    x = data.features.astype(np.float64)
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    constant = std == 0.0
-    safe_std = np.where(constant, 1.0, std)
-    out = (x - mean) / safe_std
-    out[:, constant] = 0.0
-    return Dataset(out.astype(np.float32), data.labels, data.num_classes)
 
 
 def partition(data: Dataset, n_clients: int, seed: int) -> list[Dataset]:

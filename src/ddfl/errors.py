@@ -41,36 +41,26 @@ class AuthenticationError(InvalidToken):
     """HMAC verification failed; the token was forged, corrupted, or uses a different key."""
 
 
-class ExpiredTokenError(InvalidToken):
-    """Token timestamp is outside the caller-supplied time-to-live window."""
-
-
 # --- model store -----------------------------------------------------------
 
 class StoreError(DDFLError):
-    """Base class for model-store failures; ``kind`` is a stable machine-readable tag."""
-
-    kind = "Unknown"
-
-    def __init__(self, context: str = ""):
-        super().__init__(f"{self.kind}: {context}" if context else self.kind)
-        self.context = context
+    """Base class for model-store failures."""
 
 
 class NotFoundError(StoreError):
-    kind = "NotFound"
+    """No record is stored under the requested key."""
 
 
 class DuplicateKeyError(StoreError):
-    kind = "DuplicateKey"
+    """A record is already stored under the key; ``put`` is insert-only."""
 
 
 class BackendUnavailableError(StoreError):
-    kind = "BackendUnavailable"
+    """The backend cannot be reached or its storage has gone away."""
 
 
 class CorruptRecordError(StoreError):
-    kind = "Corrupt"
+    """A stored record cannot be decoded."""
 
 
 # --- orchestration ---------------------------------------------------------

@@ -158,7 +158,7 @@ def run_client_round(
     Fetches and decrypts the previous global, trains on the shard, then
     encrypts and stores the local model at (client_id, round, 0).
     """
-    previous = store.fetch_global(round_number - 1)
+    previous = store.get(global_key(round_number - 1))
     model = deserialize_params(decrypt(key, previous.payload))
     start = time.perf_counter()
     trained = local_train(model, shard, cfg)
@@ -219,7 +219,7 @@ def run_round(
     if len(shard_sizes) != cfg.n_clients:
         raise ValidationError(f"{len(shard_sizes)} shard sizes for {cfg.n_clients} clients")
     records = _await_round(store, round_number, cfg.n_clients, cfg.barrier_timeout_ms)
-    previous = store.fetch_global(round_number - 1)
+    previous = store.get(global_key(round_number - 1))
     models = [deserialize_params(decrypt(cfg.group_key, rec.payload)) for rec in records]
     if cfg.aggregation is Aggregation.SAMPLE_WEIGHTED:
         weights = [float(shard_sizes[rec.key.client_id]) for rec in records]
@@ -229,15 +229,14 @@ def run_round(
     result = evaluate(new_global, test_set)
     token = encrypt(cfg.group_key, serialize_params(new_global))
     round_wall_ms = (time.perf_counter() - start) * 1000.0
-    store.store_global(
-        round_number,
+    store.put(
         ModelRecord(
             key=global_key(round_number),
             payload=token,
             accuracy=result.accuracy,
             elapsed_ms=round_wall_ms,
             stored_at=now_ms(),
-        ),
+        )
     )
     client_bytes = sum(len(rec.payload) for rec in records)
     return RoundOutcome(
@@ -285,14 +284,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundOutcome]:
     with open_backend(cfg.backend) as store:
         initial = init_model([layer], cfg.seed)
         baseline = evaluate(initial, test)
-        store.store_global(
-            0,
+        store.put(
             ModelRecord(
                 key=global_key(0),
                 payload=encrypt(cfg.group_key, serialize_params(initial)),
                 accuracy=baseline.accuracy,
                 stored_at=now_ms(),
-            ),
+            )
         )
         log.info("round 0: initial accuracy %.4f", baseline.accuracy)
 

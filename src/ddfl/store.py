@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -101,16 +101,6 @@ class ModelStore(abc.ABC):
         May return fewer than ``expected_clients`` records; the caller owns
         the barrier.
         """
-
-    def store_global(self, round_number: int, record: ModelRecord) -> None:
-        """Store the global model for a round (one per round)."""
-        key = global_key(round_number)
-        if record.key != key:
-            record = replace(record, key=key)
-        self.put(record)
-
-    def fetch_global(self, round_number: int) -> ModelRecord:
-        return self.get(global_key(round_number))
 
     @abc.abstractmethod
     def latest_round(self) -> int:

@@ -188,7 +188,7 @@ def test_criterion_3_backend_conformance(tmp_path):
         durable = FilesystemStore(fs_root, "durable")
         payload = os.urandom(2000)
         durable.put(ModelRecord(key=StoreKey(1, 1, 0), payload=payload, stored_at=1))
-        durable.store_global(1, ModelRecord(key=StoreKey(-1, 1, 0), payload=b"g", stored_at=1))
+        durable.put(ModelRecord(key=StoreKey(-1, 1, 0), payload=b"g", stored_at=1))
         durable.close()
         reopened = FilesystemStore(fs_root, "durable")
         assert reopened.get(StoreKey(1, 1, 0)).payload == payload

@@ -20,7 +20,6 @@ from ddfl.crypto import (
 )
 from ddfl.errors import (
     AuthenticationError,
-    ExpiredTokenError,
     InvalidToken,
     TokenFormatError,
     UnsupportedVersionError,
@@ -214,27 +213,9 @@ def test_truncated_token_rejected():
         decrypt(ZERO_KEY, token[: len(token) // 2])
 
 
-def test_ttl_expiry():
-    token = encrypt(ZERO_KEY, b"old", timestamp=0, iv=bytes(16))
-    with pytest.raises(ExpiredTokenError):
-        decrypt(ZERO_KEY, token, ttl=60, now=10**9)
-
-
-def test_future_timestamp_rejected_with_ttl():
-    token = encrypt(ZERO_KEY, b"future", timestamp=10_000, iv=bytes(16))
-    with pytest.raises(ExpiredTokenError):
-        decrypt(ZERO_KEY, token, ttl=60, now=10_000 - 61 - 60)
-
-
-def test_clock_skew_allowance():
-    token = encrypt(ZERO_KEY, b"skew", timestamp=1_059, iv=bytes(16))
-    # 59 s in the future is inside the 60 s allowance.
-    assert decrypt(ZERO_KEY, token, ttl=300, now=1_000) == b"skew"
-
-
-def test_no_ttl_ignores_timestamp():
+def test_timestamp_zero_still_decrypts():
     token = encrypt(ZERO_KEY, b"timeless", timestamp=0, iv=bytes(16))
-    assert decrypt(ZERO_KEY, token, ttl=None, now=10**9) == b"timeless"
+    assert decrypt(ZERO_KEY, token) == b"timeless"
 
 
 def test_iv_must_be_16_bytes():

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from ddfl.data import Dataset, generate_synthetic, load_idx, normalize, partition
+from ddfl.data import Dataset, generate_synthetic, load_idx, partition
 from ddfl.errors import FormatError, ValidationError
 
 
@@ -40,19 +40,6 @@ def test_dataset_validation():
         Dataset(x, np.array([0, 1, 2]), 2)  # label out of range
     with pytest.raises(ValidationError):
         Dataset(x, np.array([0, 1, 0]), 1)  # too few classes
-
-
-def test_normalize_columns():
-    rng = np.random.default_rng(0)
-    x = rng.normal(5.0, 3.0, size=(500, 4)).astype(np.float32)
-    x[:, 2] = 7.5  # constant column
-    data = Dataset(x, rng.integers(0, 3, 500), 3)
-    normed = normalize(data)
-    cols = normed.features.astype(np.float64)
-    assert np.all(np.abs(cols.mean(axis=0)) <= 1e-5)
-    for j in (0, 1, 3):
-        assert 0.99 <= cols[:, j].std() <= 1.01
-    assert np.all(cols[:, 2] == 0.0)
 
 
 def test_partition_sizes():

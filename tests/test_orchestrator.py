@@ -8,6 +8,7 @@ from ddfl.crypto import decrypt, encrypt, generate_key
 from ddfl.data import Dataset, generate_synthetic, load_idx
 from ddfl.errors import (
     AuthenticationError,
+    BackendUnavailableError,
     BarrierTimeoutError,
     NotFoundError,
     ValidationError,
@@ -34,6 +35,7 @@ from ddfl.params import (
 from ddfl.store import ModelRecord, StoreKey, global_key, now_ms
 from ddfl.training import TrainConfig
 from test_data import write_idx_pair
+from test_store_backends import break_namespace
 
 
 def _vec(values):
@@ -134,13 +136,12 @@ def setup_store_with_initial(cfg):
     store = open_backend(cfg.backend)
     train, test = build_datasets(cfg)
     initial = init_model([(train.dim, train.num_classes)], cfg.seed)
-    store.store_global(
-        0,
+    store.put(
         ModelRecord(
             key=global_key(0),
             payload=encrypt(cfg.group_key, serialize_params(initial)),
             stored_at=now_ms(),
-        ),
+        )
     )
     return store, train, test, initial
 
@@ -202,7 +203,7 @@ def test_run_round_epochs_zero_fixed_point():
     for cid in range(2):
         run_client_round(cid, 1, store, cfg.group_key, shards[cid], cfg.train)
     outcome = run_round(1, store, cfg, test, shard_sizes=[50, 50])
-    new_global = deserialize_params(decrypt(cfg.group_key, store.fetch_global(1).payload))
+    new_global = deserialize_params(decrypt(cfg.group_key, store.get(global_key(1)).payload))
     assert new_global.values.tobytes() == initial.values.tobytes()
     assert store.latest_round() == 1
     assert isinstance(outcome, RoundOutcome)
@@ -234,7 +235,7 @@ def test_run_round_global_record_has_schema_columns():
     for cid in range(2):
         run_client_round(cid, 1, store, cfg.group_key, shards[cid], cfg.train)
     outcome = run_round(1, store, cfg, test, [50, 50], started)
-    rec = store.fetch_global(1)
+    rec = store.get(global_key(1))
     assert rec.accuracy is not None and 0.0 <= rec.accuracy <= 1.0
     # The round's wall time runs from round_started, so it covers the clients.
     assert rec.elapsed_ms == outcome.round_wall_ms
@@ -250,7 +251,7 @@ def _round_one_global(cfg, extra_records=()):
     for key in extra_records:
         store.put(ModelRecord(key=key, payload=store.get(StoreKey(0, 1, 0)).payload))
     run_round(1, store, cfg, test, [len(s) for s in shards])
-    return deserialize_params(decrypt(cfg.group_key, store.fetch_global(1).payload))
+    return deserialize_params(decrypt(cfg.group_key, store.get(global_key(1)).payload))
 
 
 def test_run_round_ignores_a_later_iteration_record():
@@ -270,7 +271,22 @@ def test_run_round_stray_client_does_not_stand_in_for_a_missing_one():
         run_round(1, store, cfg, test, shard_sizes=[50, 50, 50])
     assert excinfo.value.missing_clients == [2]
     with pytest.raises(NotFoundError):
-        store.fetch_global(1)
+        store.get(global_key(1))
+
+
+@pytest.mark.parametrize("fault", ["removed", "replaced_by_file"])
+def test_run_round_on_a_broken_filesystem_namespace_fails_fast(fault, tmp_path):
+    """An unavailable backend fails the barrier at once instead of waiting it out."""
+    cfg = memory_cfg(
+        barrier_timeout_ms=5_000,
+        backend=BackendConfig(kind=BackendKind.FILESYSTEM, root_path=tmp_path, namespace="ns"),
+    )
+    store, train, test, initial = setup_store_with_initial(cfg)
+    break_namespace(tmp_path / "ns", fault)
+    started = time.monotonic()
+    with pytest.raises(BackendUnavailableError):
+        run_round(1, store, cfg, test, shard_sizes=[100, 100])
+    assert time.monotonic() - started < cfg.barrier_timeout_ms / 1000 / 10
 
 
 # --- full experiment -----------------------------------------------------------------
@@ -347,13 +363,12 @@ def test_stored_payloads_reject_wrong_key():
 
     shards = partition(train, 2, cfg.seed)
     initial = init_model([(train.dim, train.num_classes)], cfg.seed)
-    store.store_global(
-        0,
+    store.put(
         ModelRecord(
             key=global_key(0),
             payload=encrypt(cfg.group_key, serialize_params(initial)),
             stored_at=now_ms(),
-        ),
+        )
     )
     for round_number in (1, 2):
         for cid in range(2):
@@ -363,7 +378,7 @@ def test_stored_payloads_reject_wrong_key():
         run_round(round_number, store, cfg, test, shard_sizes=[len(s) for s in shards])
 
     wrong = generate_key(rng_seed=123456)
-    payloads = [store.fetch_global(r).payload for r in range(0, 3)]
+    payloads = [store.get(global_key(r)).payload for r in range(0, 3)]
     payloads += [rec.payload for r in (1, 2) for rec in store.fetch_round(r, 2)]
     assert len(payloads) == 7
     for payload in payloads:

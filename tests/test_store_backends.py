@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import pytest
 
@@ -32,6 +33,10 @@ def record(client_id, round_number, payload=b"payload", **kw):
     return ModelRecord(
         key=StoreKey(client_id, round_number, 0), payload=payload, stored_at=1, **kw
     )
+
+
+def global_record(round_number, payload=b"global"):
+    return ModelRecord(key=global_key(round_number), payload=payload, stored_at=1)
 
 
 # --- conformance: identical suite for every backend -------------------------
@@ -128,18 +133,10 @@ def test_record_validation():
         ModelRecord(key=StoreKey(0, 1), payload=b"x", elapsed_ms=-1.0)
 
 
-def test_store_global_rewrites_key(tmp_path):
-    store = open_backend(make_config(BackendKind.MEMORY, tmp_path))
-    store.store_global(2, record(0, 2, payload=b"g"))
-    fetched = store.fetch_global(2)
-    assert fetched.key == global_key(2)
-    assert store.latest_round() == 2
-
-
 def test_memory_backend_not_durable(tmp_path):
     cfg = make_config(BackendKind.MEMORY, tmp_path)
     store = open_backend(cfg)
-    store.store_global(1, record(0, 1))
+    store.put(global_record(1))
     store.close()
     reopened = open_backend(cfg)
     assert reopened.latest_round() == 0
@@ -152,7 +149,7 @@ def test_filesystem_durable_across_reopen(tmp_path):
     store = open_backend(cfg)
     rec = record(3, 2, payload=os.urandom(4096), accuracy=0.5, elapsed_ms=12.5)
     store.put(rec)
-    store.store_global(2, record(0, 2, payload=b"gl"))
+    store.put(global_record(2, payload=b"gl"))
     store.close()
 
     reopened = open_backend(cfg)
@@ -177,7 +174,7 @@ def test_filesystem_record_file_layout(tmp_path):
 
 def test_filesystem_global_renders_as_global_dir(tmp_path):
     store = FilesystemStore(tmp_path, "ns")
-    store.store_global(1, record(0, 1, payload=b"g"))
+    store.put(global_record(1, payload=b"g"))
     assert (tmp_path / "ns" / "global" / "1" / "0.rec").is_file()
 
 
@@ -190,7 +187,7 @@ def test_filesystem_skips_stray_names(stray, tmp_path):
     real = [record(0, 1, payload=b"a"), record(1, 1, payload=b"b")]
     for rec in real:
         store.put(rec)
-    store.store_global(1, record(0, 1, payload=b"g"))
+    store.put(global_record(1, payload=b"g"))
     path = tmp_path / "ns" / stray
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(encode_record(record(0, 1, payload=b"stray")))
@@ -229,6 +226,32 @@ def test_filesystem_crash_between_write_and_publish(tmp_path, monkeypatch):
     # The slot is still usable afterwards.
     store.put(record(0, 1, payload=b"second attempt"))
     assert store.get(StoreKey(0, 1, 0)).payload == b"second attempt"
+
+
+def break_namespace(ns_dir, fault):
+    """Remove an open store's namespace directory, or replace it with a file."""
+    shutil.rmtree(ns_dir)
+    if fault == "replaced_by_file":
+        ns_dir.write_bytes(b"not a directory")
+
+
+@pytest.mark.parametrize("fault", ["removed", "replaced_by_file"])
+@pytest.mark.parametrize("operation", ["put", "get", "fetch_round", "latest_round"])
+def test_filesystem_broken_namespace_is_unavailable(operation, fault, tmp_path):
+    """After open, a namespace that is gone is an outage, not an empty store."""
+    store = FilesystemStore(tmp_path, "ns")
+    store.put(record(0, 1))
+    store.put(global_record(1))
+    break_namespace(tmp_path / "ns", fault)
+    calls = {
+        "put": lambda: store.put(record(1, 1)),
+        "get": lambda: store.get(StoreKey(0, 1, 0)),
+        "fetch_round": lambda: store.fetch_round(1, 2),
+        "latest_round": store.latest_round,
+    }
+    with pytest.raises(BackendUnavailableError):
+        calls[operation]()
+    assert not (tmp_path / "ns").is_dir(), "put recreated the namespace"
 
 
 def test_filesystem_missing_root_unavailable(tmp_path):
@@ -281,11 +304,11 @@ def test_queue_contract_reads_after_transport():
     store = QueueStore("q")
     store.put(record(1, 1, payload=b"m1"))
     store.put(record(0, 1, payload=b"m0"))
-    store.store_global(1, record(0, 1, payload=b"g1"))
+    store.put(global_record(1, payload=b"g1"))
     fetched = store.fetch_round(1, 2)
     assert [r.key.client_id for r in fetched] == [0, 1]
     assert store.latest_round() == 1
-    assert store.fetch_global(1).payload == b"g1"
+    assert store.get(global_key(1)).payload == b"g1"
     assert store.get(StoreKey(1, 1, 0)).payload == b"m1"
 
 
