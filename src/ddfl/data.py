@@ -42,7 +42,10 @@ class Dataset:
                 f"labels must lie in [0, {self.num_classes}), "
                 f"got range [{labels.min()}, {labels.max()}]"
             )
-        if not np.all(np.isfinite(features)):
+        # min and max propagate NaN, so no n x d bool mask is needed.
+        if features.size and not (
+            np.isfinite(features.min()) and np.isfinite(features.max())
+        ):
             raise ValidationError("features must be finite")
         features.setflags(write=False)
         labels.setflags(write=False)
@@ -72,6 +75,29 @@ def _near_equal_counts(n: int, k: int) -> list[int]:
     return [n // k + (1 if i < n % k else 0) for i in range(k)]
 
 
+def _permute_rows(a: np.ndarray, order: np.ndarray) -> None:
+    """Set ``a`` to ``a[order]`` in place, holding one spare row.
+
+    ``order`` must be a permutation of ``range(len(a))``. Each cycle of it
+    is followed from its first row, which waits in the spare row until the
+    cycle closes.
+    """
+    order = order.tolist()
+    done = bytearray(len(order))
+    spare = np.empty_like(a[:1])
+    for start, src in enumerate(order):
+        if done[start] or src == start:
+            continue
+        spare[0] = a[start]
+        dst = start
+        while src != start:
+            a[dst] = a[src]
+            done[dst] = 1
+            dst, src = src, order[src]
+        a[dst] = spare[0]
+        done[dst] = 1
+
+
 def generate_synthetic(n: int, d: int, k: int, seed: int) -> Dataset:
     """Deterministic k-cluster Gaussian blobs with near-equal class counts.
 
@@ -79,7 +105,8 @@ def generate_synthetic(n: int, d: int, k: int, seed: int) -> Dataset:
     with ``seed``, then rows are shuffled so classes are interleaved. Each
     class block is drawn and offset by its center in float64, then stored
     in the float32 feature matrix, so no float64 copy of the whole matrix
-    is ever held.
+    is ever held. The shuffle permutes that matrix's rows in place, so it
+    is the only n x d matrix generation holds.
     """
     if k < 2:
         raise ValidationError("need at least 2 classes")
@@ -99,11 +126,10 @@ def generate_synthetic(n: int, d: int, k: int, seed: int) -> Dataset:
         features[offset : offset + count] = block
         labels[offset : offset + count] = cls
         offset += count
-    # Free the last float64 block, and the unpermuted matrix once gathered,
-    # before Dataset validates: at most two float32 copies are ever alive.
+    # Free the last float64 block before the shuffle and Dataset's checks.
     del block
     order = rng.permutation(n)
-    features = features[order]
+    _permute_rows(features, order)
     return Dataset(features, labels[order], k)
 
 
@@ -177,6 +203,7 @@ def load_idx(images_path, labels_path) -> Dataset:
 
     pixels = np.frombuffer(img_blob, dtype=np.uint8, offset=16).reshape(n_images, rows * cols)
     labels = np.frombuffer(lbl_blob, dtype=np.uint8, offset=8).astype(np.int64)
-    features = pixels.astype(np.float32) / np.float32(255.0)
+    features = pixels.astype(np.float32)
+    np.divide(features, np.float32(255.0), out=features)
     num_classes = max(2, int(labels.max()) + 1) if n_labels else 2
     return Dataset(features, labels, num_classes)

@@ -138,6 +138,10 @@ def local_train(params: ParameterVector, data: Dataset, cfg: TrainConfig) -> Par
     w0, b0 = params.layer(0)
     w = w0.astype(np.float64)
     b = b0.astype(np.float64)
+    # Each step rounds through these float32 scratch arrays, which hold the
+    # result once training ends.
+    w32 = np.empty(w.shape, dtype=np.float32)
+    b32 = np.empty(b.shape, dtype=np.float32)
     lr = float(cfg.learning_rate)
 
     for epoch in range(cfg.epochs):
@@ -151,16 +155,18 @@ def local_train(params: ParameterVector, data: Dataset, cfg: TrainConfig) -> Par
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}"
                 )
-            w -= lr * grad_w
-            b -= lr * grad_b
-            w[...] = w.astype(np.float32)
-            b[...] = b.astype(np.float32)
+            grad_w *= lr
+            grad_b *= lr
+            w -= grad_w
+            b -= grad_b
+            np.copyto(w32, w, casting="same_kind")
+            np.copyto(b32, b, casting="same_kind")
+            np.copyto(w, w32)
+            np.copyto(b, b32)
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise NumericError(f"non-finite parameters after epoch {epoch}")
 
-    return ParameterVector(
-        np.concatenate([w.reshape(-1), b], dtype=np.float32), params.shapes
-    )
+    return ParameterVector(np.concatenate([w32.reshape(-1), b32]), params.shapes)
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:

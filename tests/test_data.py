@@ -1,9 +1,12 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ddfl.data import Dataset, generate_synthetic, load_idx, partition
+from ddfl.data import Dataset, _permute_rows, generate_synthetic, load_idx, partition
 from ddfl.errors import FormatError, ValidationError
 
 
@@ -40,6 +43,54 @@ def test_dataset_validation():
         Dataset(x, np.array([0, 1, 2]), 2)  # label out of range
     with pytest.raises(ValidationError):
         Dataset(x, np.array([0, 1, 0]), 1)  # too few classes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 3)])
+def test_dataset_rejects_a_single_non_finite_value(bad, where):
+    x = np.arange(12, dtype=np.float32).reshape(3, 4)
+    x[where] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        Dataset(x, np.array([0, 1, 0]), 2)
+
+
+def test_dataset_accepts_an_empty_matrix():
+    data = Dataset(np.empty((0, 3), dtype=np.float32), np.empty(0, dtype=np.int64), 2)
+    assert len(data) == 0
+    assert data.dim == 3
+
+
+@st.composite
+def permutation_cases(draw):
+    """One n-cycle, or a random permutation of the rows outside a random fixed set."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        # i -> i + shift (mod n) with shift coprime to n is one n-cycle.
+        shift = draw(st.sampled_from([s for s in range(1, n) if math.gcd(s, n) == 1] or [0]))
+        order = [(i + shift) % n for i in range(n)]
+    else:
+        fixed = draw(st.sets(st.integers(0, n - 1)))
+        moving = [i for i in range(n) if i not in fixed]
+        order = list(range(n))
+        for i, j in zip(moving, draw(st.permutations(moving))):
+            order[i] = j
+    return np.array(order, dtype=np.int64), draw(st.integers(1, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=permutation_cases())
+@example(case=(np.array([0]), 3))
+@example(case=(np.arange(6), 2))
+@example(case=(np.array([2, 1, 0]), 1))
+def test_permute_rows_in_place_equals_gather(case):
+    order, d = case
+    n = len(order)
+    a = np.arange(n * d, dtype=np.float32).reshape(n, d)
+    want = a[order]
+    buffer = a.ctypes.data
+    _permute_rows(a, order)
+    assert a.ctypes.data == buffer
+    assert np.array_equal(a, want)
 
 
 def test_partition_sizes():
@@ -87,6 +138,15 @@ def test_idx_scaling_rule(tmp_path):
     assert np.array_equal(data.features.reshape(-1), expected)
     assert data.labels.tolist() == [1, 0]
     assert data.features.shape == (2, 2)
+
+
+def test_idx_features_bitwise_equal_the_scaling_rule(tmp_path):
+    pixels = np.arange(256, dtype=np.uint8)
+    images, labels = write_idx_pair(tmp_path, pixels.tolist(), [0] * 16, rows=4, cols=4)
+    data = load_idx(images, labels)
+    want = (pixels.astype(np.float32) / np.float32(255.0)).reshape(16, 16)
+    assert data.features.dtype == np.float32
+    assert data.features.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
 
 
 def test_idx_count_mismatch(tmp_path):
