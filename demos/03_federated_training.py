@@ -42,7 +42,7 @@ with tempfile.TemporaryDirectory(prefix="ddfl-train-") as root:
 
 # Baselines with the same trainer and epoch budget.
 train, test = build_datasets(cfg)
-shards = ddfl.partition(train, cfg.n_clients, cfg.seed)
+shards = ddfl.partition(train, cfg.n_clients)
 initial = ddfl.init_model([(train.dim, train.num_classes)], cfg.seed)
 budget = ddfl.TrainConfig(learning_rate=0.1, epochs=20, batch_size=32, seed=1)
 

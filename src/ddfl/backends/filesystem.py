@@ -36,7 +36,8 @@ _HAS_ACCURACY = 0x1
 _HAS_ELAPSED = 0x2
 
 
-def encode_record(record: ModelRecord) -> bytes:
+def _frame(record: ModelRecord) -> tuple[bytes, bytes]:
+    """The header and footer that enclose ``record.payload`` in its file."""
     flags = 0
     accuracy = 0.0
     elapsed = 0.0
@@ -47,23 +48,34 @@ def encode_record(record: ModelRecord) -> bytes:
         flags |= _HAS_ELAPSED
         elapsed = record.elapsed_ms
     return (
-        _HEADER.pack(RECORD_MAGIC, len(record.payload), flags)
-        + record.payload
-        + _FOOTER.pack(accuracy, elapsed, record.stored_at)
+        _HEADER.pack(RECORD_MAGIC, len(record.payload), flags),
+        _FOOTER.pack(accuracy, elapsed, record.stored_at),
     )
 
 
-def decode_record(blob: bytes, key: StoreKey, source: str) -> ModelRecord:
-    if len(blob) < _HEADER.size + _FOOTER.size:
-        raise CorruptRecordError(f"{source}: {len(blob)} bytes is too short for a record")
-    magic, payload_len, flags = _HEADER.unpack_from(blob, 0)
-    if magic != RECORD_MAGIC:
-        raise CorruptRecordError(f"{source}: bad record magic {magic!r}")
-    expected = _HEADER.size + payload_len + _FOOTER.size
-    if len(blob) != expected:
-        raise CorruptRecordError(f"{source}: expected {expected} bytes, found {len(blob)}")
-    payload = blob[_HEADER.size : _HEADER.size + payload_len]
-    accuracy, elapsed, stored_at = _FOOTER.unpack_from(blob, _HEADER.size + payload_len)
+def encode_record(record: ModelRecord) -> bytes:
+    """The bytes of ``record``'s file, as ``put`` writes them."""
+    header, footer = _frame(record)
+    return b"".join((header, record.payload, footer))
+
+
+def _read_record(path: Path, key: StoreKey) -> ModelRecord:
+    """Check a record file's header against its size, then read the payload in one read."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size + _FOOTER.size:
+            raise CorruptRecordError(f"{path}: {size} bytes is too short for a record")
+        magic, payload_len, flags = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != RECORD_MAGIC:
+            raise CorruptRecordError(f"{path}: bad record magic {magic!r}")
+        expected = _HEADER.size + payload_len + _FOOTER.size
+        if size != expected:
+            raise CorruptRecordError(f"{path}: expected {expected} bytes, found {size}")
+        payload = fh.read(payload_len)
+        footer = fh.read(_FOOTER.size)
+    if len(payload) != payload_len or len(footer) != _FOOTER.size:
+        raise CorruptRecordError(f"{path}: shorter than its {size} bytes when read")
+    accuracy, elapsed, stored_at = _FOOTER.unpack(footer)
     return ModelRecord(
         key=key,
         payload=payload,
@@ -111,14 +123,18 @@ class FilesystemStore(ModelStore):
     def put(self, record: ModelRecord) -> None:
         final = self._record_path(record.key)
         tmp = final.parent / f".{final.name}.tmp-{uuid.uuid4().hex}"
-        blob = encode_record(record)
+        header, footer = _frame(record)
         with self._available():
             # No parents=True: a namespace that vanishes now must stay missing.
             final.parent.parent.mkdir(exist_ok=True)
             final.parent.mkdir(exist_ok=True)
             try:
                 with open(tmp, "wb") as fh:
-                    fh.write(blob)
+                    # A payload larger than the write buffer goes from its
+                    # own bytes to the file, with no joined copy.
+                    fh.write(header)
+                    fh.write(record.payload)
+                    fh.write(footer)
                     if self.fsync:
                         fh.flush()
                         os.fsync(fh.fileno())
@@ -141,10 +157,9 @@ class FilesystemStore(ModelStore):
         path = self._record_path(key)
         with self._available():
             try:
-                blob = path.read_bytes()
+                return _read_record(path, key)
             except FileNotFoundError:
                 raise NotFoundError(f"{key} not in {self.namespace!r}") from None
-        return decode_record(blob, key, str(path))
 
     def fetch_round(self, round_number: int, expected_clients: int) -> list[ModelRecord]:
         check_fetch_round_args(round_number)
@@ -153,7 +168,7 @@ class FilesystemStore(ModelStore):
             for client_id, client_dir in _numbered_entries(self._ns_dir):
                 for iteration, path in _numbered_entries(client_dir / str(round_number), ".rec"):
                     key = StoreKey(client_id, round_number, iteration)
-                    records.append(decode_record(path.read_bytes(), key, str(path)))
+                    records.append(_read_record(path, key))
         records.sort(key=lambda rec: (rec.key.client_id, rec.key.iteration))
         return records
 

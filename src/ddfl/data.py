@@ -98,15 +98,21 @@ def _permute_rows(a: np.ndarray, order: np.ndarray) -> None:
         done[dst] = 1
 
 
-def generate_synthetic(n: int, d: int, k: int, seed: int) -> Dataset:
-    """Deterministic k-cluster Gaussian blobs with near-equal class counts.
+# Rows per float64 draw: a class block is drawn and offset in chunks this
+# size, so the float64 scratch stays small next to the float32 matrix.
+# Generator.normal consumes its stream element by element, so chunking does
+# not change a bit of the output.
+_DRAW_ROWS = 256
 
-    Cluster centers and sample noise are drawn from a single PRNG seeded
-    with ``seed``, then rows are shuffled so classes are interleaved. Each
-    class block is drawn and offset by its center in float64, then stored
-    in the float32 feature matrix, so no float64 copy of the whole matrix
-    is ever held. The shuffle permutes that matrix's rows in place, so it
-    is the only n x d matrix generation holds.
+
+def _draw_synthetic(
+    n: int, d: int, k: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of ``generate_synthetic(n, d, k, seed)``, before its shuffle.
+
+    Returns the float32 feature matrix in class order, its labels, and the
+    shuffle order; ``features[order]`` and ``labels[order]`` are the
+    generated dataset.
     """
     if k < 2:
         raise ValidationError("need at least 2 classes")
@@ -116,36 +122,54 @@ def generate_synthetic(n: int, d: int, k: int, seed: int) -> Dataset:
         raise ValidationError(f"need at least one sample per class: n={n} < k={k}")
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, _CENTER_STD, size=(k, d))
-    counts = _near_equal_counts(n, k)
     features = np.empty((n, d), dtype=np.float32)
     labels = np.empty(n, dtype=np.int64)
     offset = 0
-    for cls, count in enumerate(counts):
-        block = rng.normal(0.0, _CLUSTER_STD, size=(count, d))
-        block += centers[cls]
-        features[offset : offset + count] = block
+    for cls, count in enumerate(_near_equal_counts(n, k)):
         labels[offset : offset + count] = cls
+        for start in range(offset, offset + count, _DRAW_ROWS):
+            rows = min(_DRAW_ROWS, offset + count - start)
+            block = rng.normal(0.0, _CLUSTER_STD, size=(rows, d))
+            block += centers[cls]
+            features[start : start + rows] = block
+            # Free this chunk before the next one is drawn.
+            del block
         offset += count
-    # Free the last float64 block before the shuffle and Dataset's checks.
-    del block
-    order = rng.permutation(n)
+    return features, labels, rng.permutation(n)
+
+
+def generate_synthetic(n: int, d: int, k: int, seed: int) -> Dataset:
+    """Deterministic k-cluster Gaussian blobs with near-equal class counts.
+
+    Cluster centers and sample noise are drawn from a single PRNG seeded
+    with ``seed``, then rows are shuffled so classes are interleaved. Each
+    class block is drawn and offset by its center in float64, a few hundred
+    rows at a time, then stored in the float32 feature matrix, so no float64
+    copy of the whole matrix is ever held. The shuffle permutes that
+    matrix's rows in place, so it is the only n x d matrix generation holds.
+    """
+    features, labels, order = _draw_synthetic(n, d, k, seed)
     _permute_rows(features, order)
     return Dataset(features, labels[order], k)
 
 
-def partition(data: Dataset, n_clients: int, seed: int) -> list[Dataset]:
-    """IID split: seeded shuffle, then contiguous slices whose sizes differ by at most 1."""
+def partition(data: Dataset, n_clients: int) -> list[Dataset]:
+    """IID split into contiguous row slices whose sizes differ by at most 1.
+
+    Shards are views of ``data``'s rows, so the split copies nothing; rows
+    are not shuffled, so ``data`` must already be in random order (as
+    ``build_datasets`` lays it out).
+    """
     n = len(data)
     if n_clients < 1:
         raise ValidationError("n_clients must be at least 1")
     if n_clients > n:
         raise ValidationError(f"cannot split {n} samples across {n_clients} clients")
-    order = np.random.default_rng(seed).permutation(n)
     shards = []
     offset = 0
     for size in _near_equal_counts(n, n_clients):
-        idx = order[offset : offset + size]
-        shards.append(Dataset(data.features[idx], data.labels[idx], data.num_classes))
+        rows = slice(offset, offset + size)
+        shards.append(Dataset(data.features[rows], data.labels[rows], data.num_classes))
         offset += size
     return shards
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .backends import BackendConfig, open_backend
 from .crypto import FernetKey, decrypt, encrypt
-from .data import Dataset, generate_synthetic, load_idx, partition
+from .data import Dataset, _draw_synthetic, _permute_rows, load_idx, partition
 from .errors import BarrierTimeoutError, ValidationError
 from .params import ParameterVector, deserialize_params, init_model, serialize_params
 from .store import ModelRecord, ModelStore, StoreKey, global_key, now_ms
@@ -249,37 +249,54 @@ def run_round(
     )
 
 
+def _layout_order(train_rows: np.ndarray, test_rows: np.ndarray, seed: int) -> np.ndarray:
+    """Row order ``[train rows in split-shuffle order | test rows]``.
+
+    The split shuffle is ``default_rng(seed).permutation(len(train_rows))``;
+    in this order, the rows it deals to client c are the contiguous slice
+    that ``partition`` gives client c.
+    """
+    split = np.random.default_rng(seed).permutation(len(train_rows))
+    return np.concatenate([train_rows[split], test_rows])
+
+
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """Materialize the (train, test) pair described by the experiment config."""
+    """Materialize the (train, test) pair described by the experiment config.
+
+    Both are row slices of one matrix in ``_layout_order``, so that
+    ``partition(train, cfg.n_clients)`` hands each client a view of it:
+    shards and test set share the matrix, which holds each row once.
+    """
     spec = cfg.dataset
     if isinstance(spec, SyntheticSpec):
-        test_n = spec.resolved_test_n()
-        full = generate_synthetic(spec.n + test_n, spec.d, spec.k, cfg.seed)
-        # train is a view of the generated matrix; the test set gets its own
-        # rows, so the matrix is freed once the caller drops train.
-        train = Dataset(full.features[: spec.n], full.labels[: spec.n], full.num_classes)
-        test = Dataset(
-            full.features[spec.n :].copy(), full.labels[spec.n :].copy(), full.num_classes
+        # generate_synthetic's rows would be features[order], the first n of
+        # them train; one in-place pass by the composed order lays out both.
+        n = spec.n
+        features, labels, order = _draw_synthetic(
+            n + spec.resolved_test_n(), spec.d, spec.k, cfg.seed
         )
-        return train, test
-    full = load_idx(spec.images, spec.labels)
-    n = len(full)
-    holdout = max(1, int(n * IDX_TEST_FRACTION))
-    order = np.random.default_rng(cfg.seed).permutation(n)
-    test_idx, train_idx = order[:holdout], order[holdout:]
-    train = Dataset(full.features[train_idx], full.labels[train_idx], full.num_classes)
-    test = Dataset(full.features[test_idx], full.labels[test_idx], full.num_classes)
+        order = _layout_order(order[:n], order[n:], cfg.seed)
+        _permute_rows(features, order)
+        num_classes = spec.k
+    else:
+        full = load_idx(spec.images, spec.labels)
+        holdout = max(1, int(len(full) * IDX_TEST_FRACTION))
+        n = len(full) - holdout
+        order = np.random.default_rng(cfg.seed).permutation(len(full))
+        order = _layout_order(order[holdout:], order[:holdout], cfg.seed)
+        features, labels, num_classes = full.features[order], full.labels, full.num_classes
+    labels = labels[order]
+    train = Dataset(features[:n], labels[:n], num_classes)
+    test = Dataset(features[n:], labels[n:], num_classes)
     return train, test
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RoundOutcome]:
     """Run the full protocol: round-0 global, then R rounds of train/aggregate/evaluate."""
     train, test = build_datasets(cfg)
-    shards = partition(train, cfg.n_clients, cfg.seed)
+    shards = partition(train, cfg.n_clients)
     shard_sizes = [len(s) for s in shards]
     layer = (train.dim, train.num_classes)
-    # The shards hold copies of its rows; keeping train would keep them twice.
-    del train
 
     with open_backend(cfg.backend) as store:
         initial = init_model([layer], cfg.seed)

@@ -212,7 +212,7 @@ def test_criterion_4_federated_benefit():
 
         # Baselines share the trainer and the total local-epoch budget.
         train, test = build_datasets(cfg)
-        shards = ddfl.partition(train, cfg.n_clients, cfg.seed)
+        shards = ddfl.partition(train, cfg.n_clients)
         initial = ddfl.init_model([(train.dim, train.num_classes)], cfg.seed)
         budget = ddfl.TrainConfig(
             learning_rate=0.1, epochs=cfg.rounds * cfg.train.epochs, batch_size=32, seed=seed

@@ -95,13 +95,13 @@ def test_permute_rows_in_place_equals_gather(case):
 
 def test_partition_sizes():
     data = generate_synthetic(10, 2, 2, seed=0)
-    assert [len(s) for s in partition(data, 2, seed=0)] == [5, 5]
-    assert [len(s) for s in partition(data, 3, seed=0)] == [4, 3, 3]
+    assert [len(s) for s in partition(data, 2)] == [5, 5]
+    assert [len(s) for s in partition(data, 3)] == [4, 3, 3]
 
 
 def test_partition_conserves_samples():
     data = generate_synthetic(101, 3, 4, seed=5)
-    shards = partition(data, 7, seed=9)
+    shards = partition(data, 7)
     rows = np.concatenate([s.features for s in shards])
     labels = np.concatenate([s.labels for s in shards])
     original = np.concatenate([data.features, data.labels[:, None].astype(np.float32)], axis=1)
@@ -114,7 +114,7 @@ def test_partition_conserves_samples():
 def test_partition_too_many_clients():
     data = generate_synthetic(5, 2, 2, seed=0)
     with pytest.raises(ValidationError):
-        partition(data, 6, seed=0)
+        partition(data, 6)
 
 
 # --- IDX fixtures ----------------------------------------------------------

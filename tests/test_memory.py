@@ -1,4 +1,4 @@
-"""Peak-memory bounds for data generation and local SGD.
+"""Peak-memory bounds for data generation, the split and local SGD.
 
 numpy reports its buffers to ``tracemalloc``, so the traced peak above the
 starting point measures every array a call allocates, however short-lived.
@@ -8,7 +8,10 @@ import tracemalloc
 
 import numpy as np
 
-from ddfl.data import generate_synthetic
+from ddfl.backends import BackendConfig, BackendKind
+from ddfl.crypto import generate_key
+from ddfl.data import generate_synthetic, partition
+from ddfl.orchestrator import ExperimentConfig, SyntheticSpec, build_datasets
 from ddfl.params import init_model
 from ddfl.training import TrainConfig, local_train
 
@@ -25,13 +28,36 @@ def traced_peak_growth(fn):
     return result, peak - start
 
 
-def test_generate_synthetic_peak_below_1_6_float32_copies():
-    # The rows are permuted in place and finiteness is checked without a
-    # mask, so beyond the float32 matrix only the float64 class blocks (two
-    # at k = 10 while the next one is drawn, 0.4 copies) are alive.
+def test_generate_synthetic_peak_below_1_3_float32_copies():
+    # The rows are permuted in place, finiteness is checked without a mask,
+    # and class blocks are drawn a few hundred rows at a time, so beyond the
+    # float32 matrix only one small float64 chunk is alive.
     data, peak = traced_peak_growth(lambda: generate_synthetic(5000, 784, 10, seed=3))
     assert data.features.dtype == np.float32
-    assert peak < 1.6 * data.features.nbytes
+    assert peak < 1.3 * data.features.nbytes
+
+
+def test_build_and_partition_peak_below_1_3_float32_copies():
+    # Shards and test set are views of the one generated matrix: neither
+    # the split nor the held-out rows are copied.
+    spec = SyntheticSpec(n=5000, d=784, k=10, test_n=1250)
+    cfg = ExperimentConfig(
+        n_clients=8,
+        rounds=1,
+        train=TrainConfig(learning_rate=0.1, epochs=1, batch_size=32, seed=0),
+        backend=BackendConfig(kind=BackendKind.MEMORY),
+        group_key=generate_key(rng_seed=0),
+        dataset=spec,
+        seed=3,
+    )
+
+    def build():
+        train, test = build_datasets(cfg)
+        return partition(train, cfg.n_clients), test
+
+    (shards, test), peak = traced_peak_growth(build)
+    assert sum(len(s) for s in shards) + len(test) == 6250
+    assert peak < 1.3 * 6250 * 784 * np.dtype(np.float32).itemsize
 
 
 def test_local_train_holds_no_float64_copy_of_the_shard():

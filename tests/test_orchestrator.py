@@ -5,7 +5,7 @@ import pytest
 
 from ddfl.backends import BackendConfig, BackendKind, open_backend
 from ddfl.crypto import decrypt, encrypt, generate_key
-from ddfl.data import Dataset, generate_synthetic, load_idx
+from ddfl.data import Dataset, generate_synthetic, load_idx, partition
 from ddfl.errors import (
     AuthenticationError,
     BackendUnavailableError,
@@ -359,9 +359,7 @@ def test_stored_payloads_reject_wrong_key():
     # Re-run the experiment against this store instance via a shared backend
     # is not possible for memory; instead replay manually.
     train, test = build_datasets(cfg)
-    from ddfl.data import partition
-
-    shards = partition(train, 2, cfg.seed)
+    shards = partition(train, 2)
     initial = init_model([(train.dim, train.num_classes)], cfg.seed)
     store.put(
         ModelRecord(
@@ -417,17 +415,65 @@ def _owning_array(array):
     return array
 
 
-def test_synthetic_test_set_holds_its_own_rows():
-    # A test set that viewed the generated matrix would keep all of it, the
-    # training rows included, alive for the whole run. (np.shares_memory
-    # cannot see that: the two views do not overlap.)
-    cfg = memory_cfg(dataset=SyntheticSpec(n=200, d=4, k=2, test_n=50))
+def test_shards_and_test_set_view_one_matrix():
+    # The experiment holds each row once: every shard and the test set are
+    # slices of a single (n + test_n) x d matrix.
+    cfg = memory_cfg(n_clients=3, dataset=SyntheticSpec(n=200, d=4, k=2, test_n=50))
     train, test = build_datasets(cfg)
-    assert _owning_array(test.features).nbytes == test.features.nbytes
-    assert _owning_array(test.labels).nbytes == test.labels.nbytes
-    full = generate_synthetic(250, 4, 2, cfg.seed)
-    assert test == Dataset(full.features[200:], full.labels[200:], 2)
-    assert train == Dataset(full.features[:200], full.labels[:200], 2)
+    parts = [*partition(train, cfg.n_clients), test]
+    owners = {id(_owning_array(part.features)) for part in parts}
+    assert len(owners) == 1
+    owner = _owning_array(test.features)
+    assert owner.shape == (250, 4) and owner.nbytes == 250 * 4 * 4
+    assert np.array_equal(np.concatenate([part.features for part in parts]), owner)
+
+
+def split_by_gather(train, test, n_clients, seed):
+    """Reference split: a seeded shuffle of ``train``, then one gather per shard."""
+    order = np.random.default_rng(seed).permutation(len(train))
+    shards = []
+    offset = 0
+    for c in range(n_clients):
+        size = len(train) // n_clients + (1 if c < len(train) % n_clients else 0)
+        rows = order[offset : offset + size]
+        shards.append((train.features[rows], train.labels[rows]))
+        offset += size
+    return shards, (test.features, test.labels)
+
+
+def assert_split_matches(cfg, want_shards, want_test):
+    train, test = build_datasets(cfg)
+    shards = partition(train, cfg.n_clients)
+    assert len(shards) == len(want_shards)
+    for shard, (features, labels) in zip(shards, want_shards):
+        assert shard.features.tobytes() == features.tobytes()
+        assert np.array_equal(shard.labels, labels)
+    assert test.features.tobytes() == want_test[0].tobytes()
+    assert np.array_equal(test.labels, want_test[1])
+
+
+@pytest.mark.parametrize("n_clients", [1, 3, 7])
+def test_synthetic_split_equals_shuffle_then_gather(n_clients):
+    spec = SyntheticSpec(n=103, d=5, k=3, test_n=29)
+    cfg = memory_cfg(n_clients=n_clients, dataset=spec, seed=6)
+    full = generate_synthetic(spec.n + spec.test_n, spec.d, spec.k, cfg.seed)
+    train = Dataset(full.features[: spec.n], full.labels[: spec.n], spec.k)
+    test = Dataset(full.features[spec.n :], full.labels[spec.n :], spec.k)
+    assert_split_matches(cfg, *split_by_gather(train, test, n_clients, cfg.seed))
+
+
+@pytest.mark.parametrize("n_clients", [1, 4])
+def test_idx_split_equals_shuffle_then_gather(tmp_path, n_clients):
+    n = 61
+    images, labels = idx_pair_with_row_ids(tmp_path, n)
+    cfg = memory_cfg(n_clients=n_clients, dataset=IdxSpec(images, labels), seed=4)
+    full = load_idx(images, labels)
+    order = np.random.default_rng(cfg.seed).permutation(n)
+    holdout = max(1, int(n * 0.2))
+    test_rows, train_rows = order[:holdout], order[holdout:]
+    train = Dataset(full.features[train_rows], full.labels[train_rows], full.num_classes)
+    test = Dataset(full.features[test_rows], full.labels[test_rows], full.num_classes)
+    assert_split_matches(cfg, *split_by_gather(train, test, n_clients, cfg.seed))
 
 
 def idx_pair_with_row_ids(tmp_path, n):

@@ -205,6 +205,41 @@ def test_filesystem_corrupt_record_detected(tmp_path):
         store.get(rec.key)
 
 
+@pytest.mark.parametrize("fsync", [False, True])
+def test_filesystem_large_record_file_is_its_encoding(fsync, tmp_path):
+    # Larger than the write and read buffers, so the payload takes the
+    # direct path through both.
+    store = FilesystemStore(tmp_path, "ns", fsync=fsync)
+    rec = record(2, 1, payload=os.urandom(3 * 2**20 + 7), accuracy=0.25, elapsed_ms=3.0)
+    store.put(rec)
+    path = tmp_path / "ns" / "2" / "1" / "0.rec"
+    assert path.read_bytes() == encode_record(rec)
+    assert store.get(rec.key) == rec
+    assert store.fetch_round(1, 3) == [rec]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda blob: blob + b"\x00",
+        lambda blob: blob[:-1],
+        lambda blob: b"DDR2" + blob[4:],
+        lambda blob: blob[:4] + (len(blob)).to_bytes(8, "little") + blob[12:],
+    ],
+    ids=["extra-byte", "short-byte", "bad-magic", "length-too-large"],
+)
+def test_filesystem_record_of_wrong_size_or_magic_is_corrupt(damage, tmp_path):
+    store = FilesystemStore(tmp_path, "ns")
+    rec = record(0, 1, payload=os.urandom(10_000))
+    store.put(rec)
+    path = tmp_path / "ns" / "0" / "1" / "0.rec"
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(CorruptRecordError):
+        store.get(rec.key)
+    with pytest.raises(CorruptRecordError):
+        store.fetch_round(1, 1)
+
+
 def test_filesystem_crash_between_write_and_publish(tmp_path, monkeypatch):
     """A crash injected before the atomic link leaves no record visible."""
     store = FilesystemStore(tmp_path, "ns")
