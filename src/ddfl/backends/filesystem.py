@@ -14,7 +14,8 @@ existing target, giving crash safety and duplicate detection in one step.
 
 Every OSError is a BackendUnavailableError, except a missing record on
 ``get`` (NotFoundError) and an existing one on ``link`` (DuplicateKeyError).
-So is a namespace directory, made at open, that is no longer a directory.
+So is a namespace path that is not a directory, at open (which makes the
+directory) or later.
 """
 
 from __future__ import annotations
@@ -105,7 +106,10 @@ class FilesystemStore(ModelStore):
         self.root = Path(root)
         self.fsync = fsync
         self._ns_dir = self.root / namespace
-        self._ns_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self._ns_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise BackendUnavailableError(f"namespace {namespace!r}: {exc}") from exc
 
     def _record_path(self, key: StoreKey) -> Path:
         return self._ns_dir / key.client_label / str(key.round) / f"{key.iteration}.rec"

@@ -46,13 +46,17 @@ class RelationalStore(ModelStore):
         super().__init__(namespace)
         self.path = Path(root) / DB_FILENAME
         self._lock = threading.RLock()
+        conn = None
         try:
-            self._conn = sqlite3.connect(self.path, check_same_thread=False)
-            self._conn.execute(f"PRAGMA synchronous = {'FULL' if fsync else 'OFF'}")
-            self._conn.execute(_SCHEMA)
-            self._conn.commit()
+            conn = sqlite3.connect(self.path, check_same_thread=False)
+            conn.execute(f"PRAGMA synchronous = {'FULL' if fsync else 'OFF'}")
+            conn.execute(_SCHEMA)
+            conn.commit()
         except sqlite3.Error as exc:
+            if conn is not None:
+                conn.close()
             raise BackendUnavailableError(f"cannot open {self.path}: {exc}") from exc
+        self._conn = conn
 
     def close(self) -> None:
         with self._lock:

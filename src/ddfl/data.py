@@ -153,6 +153,24 @@ def generate_synthetic(n: int, d: int, k: int, seed: int) -> Dataset:
     return Dataset(features, labels[order], k)
 
 
+def _lay_out(
+    features: np.ndarray, labels: np.ndarray, num_classes: int,
+    train_rows: np.ndarray, test_rows: np.ndarray, seed: int,
+) -> tuple[Dataset, Dataset]:
+    """Permute ``features`` in place into the (train, test) row layout; return both.
+
+    The order is ``[train_rows shuffled by default_rng(seed).permutation | test_rows]``,
+    so the view ``partition`` gives client c holds the rows that shuffle deals it.
+    """
+    split = np.random.default_rng(seed).permutation(len(train_rows))
+    order = np.concatenate([train_rows[split], test_rows])
+    _permute_rows(features, order)
+    labels = labels[order]
+    n = len(train_rows)
+    train = Dataset(features[:n], labels[:n], num_classes)
+    return train, Dataset(features[n:], labels[n:], num_classes)
+
+
 def partition(data: Dataset, n_clients: int) -> list[Dataset]:
     """IID split into contiguous row slices whose sizes differ by at most 1.
 
@@ -186,6 +204,11 @@ def load_idx(images_path, labels_path) -> Dataset:
     Pixels are scaled to [0, 1] by dividing by 255 and flattened row-major,
     so n images of r x c pixels become an (n, r*c) matrix.
     """
+    return Dataset(*_read_idx(images_path, labels_path))
+
+
+def _read_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray, int]:
+    """``load_idx``'s writable float32 features, labels and class count."""
     with open(images_path, "rb") as fh:
         img_blob = fh.read()
     with open(labels_path, "rb") as fh:
@@ -230,4 +253,4 @@ def load_idx(images_path, labels_path) -> Dataset:
     features = pixels.astype(np.float32)
     np.divide(features, np.float32(255.0), out=features)
     num_classes = max(2, int(labels.max()) + 1) if n_labels else 2
-    return Dataset(features, labels, num_classes)
+    return features, labels, num_classes

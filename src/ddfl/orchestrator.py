@@ -25,7 +25,7 @@ import numpy as np
 
 from .backends import BackendConfig, open_backend
 from .crypto import FernetKey, decrypt, encrypt
-from .data import Dataset, _draw_synthetic, _permute_rows, load_idx, partition
+from .data import Dataset, _draw_synthetic, _lay_out, _read_idx, partition
 from .errors import BarrierTimeoutError, ValidationError
 from .params import ParameterVector, deserialize_params, init_model, serialize_params
 from .store import ModelRecord, ModelStore, StoreKey, global_key, now_ms
@@ -249,46 +249,27 @@ def run_round(
     )
 
 
-def _layout_order(train_rows: np.ndarray, test_rows: np.ndarray, seed: int) -> np.ndarray:
-    """Row order ``[train rows in split-shuffle order | test rows]``.
-
-    The split shuffle is ``default_rng(seed).permutation(len(train_rows))``;
-    in this order, the rows it deals to client c are the contiguous slice
-    that ``partition`` gives client c.
-    """
-    split = np.random.default_rng(seed).permutation(len(train_rows))
-    return np.concatenate([train_rows[split], test_rows])
-
-
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """Materialize the (train, test) pair described by the experiment config.
 
-    Both are row slices of one matrix in ``_layout_order``, so that
-    ``partition(train, cfg.n_clients)`` hands each client a view of it:
-    shards and test set share the matrix, which holds each row once.
+    Each source gives its float32 matrix, labels and train and test rows;
+    ``_lay_out`` permutes the matrix in place so that both sets, and the
+    shards ``partition(train, cfg.n_clients)`` makes, are views of it.
     """
     spec = cfg.dataset
     if isinstance(spec, SyntheticSpec):
         # generate_synthetic's rows would be features[order], the first n of
-        # them train; one in-place pass by the composed order lays out both.
-        n = spec.n
+        # them train; the layout composes that shuffle with the split's.
         features, labels, order = _draw_synthetic(
-            n + spec.resolved_test_n(), spec.d, spec.k, cfg.seed
+            spec.n + spec.resolved_test_n(), spec.d, spec.k, cfg.seed
         )
-        order = _layout_order(order[:n], order[n:], cfg.seed)
-        _permute_rows(features, order)
-        num_classes = spec.k
+        num_classes, train_rows, test_rows = spec.k, order[: spec.n], order[spec.n :]
     else:
-        full = load_idx(spec.images, spec.labels)
-        holdout = max(1, int(len(full) * IDX_TEST_FRACTION))
-        n = len(full) - holdout
-        order = np.random.default_rng(cfg.seed).permutation(len(full))
-        order = _layout_order(order[holdout:], order[:holdout], cfg.seed)
-        features, labels, num_classes = full.features[order], full.labels, full.num_classes
-    labels = labels[order]
-    train = Dataset(features[:n], labels[:n], num_classes)
-    test = Dataset(features[n:], labels[n:], num_classes)
-    return train, test
+        features, labels, num_classes = _read_idx(spec.images, spec.labels)
+        holdout = max(1, int(len(labels) * IDX_TEST_FRACTION))
+        order = np.random.default_rng(cfg.seed).permutation(len(labels))
+        train_rows, test_rows = order[holdout:], order[:holdout]
+    return _lay_out(features, labels, num_classes, train_rows, test_rows, cfg.seed)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RoundOutcome]:

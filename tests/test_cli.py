@@ -111,6 +111,17 @@ def test_run_missing_root_exit_3(tmp_path, capsys):
     assert "BackendUnavailable" in capsys.readouterr().err
 
 
+def test_run_namespace_path_is_a_file_exit_3(tmp_path, capsys):
+    (tmp_path / "ns").write_text("not a directory")
+    cfg = write_config(
+        tmp_path,
+        BASE.replace("backend = memory", "backend = filesystem")
+        + f"root_path = {tmp_path}\nnamespace = ns\n",
+    )
+    assert main(["run", cfg]) == EXIT_RUNTIME
+    assert "error: BackendUnavailableError" in capsys.readouterr().err
+
+
 def test_bench_query_row_count(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.replace("backend = memory", "backend = memory,queue"))
     code = main(["bench-query", cfg, "--records", "5", "--payload-bytes", "64"])

@@ -1,5 +1,6 @@
 import os
 import shutil
+import sqlite3
 
 import pytest
 
@@ -289,6 +290,13 @@ def test_filesystem_broken_namespace_is_unavailable(operation, fault, tmp_path):
     assert not (tmp_path / "ns").is_dir(), "put recreated the namespace"
 
 
+def test_filesystem_namespace_path_that_is_a_file_fails_open(tmp_path):
+    (tmp_path / "ns").write_bytes(b"not a directory")
+    with pytest.raises(BackendUnavailableError):
+        FilesystemStore(tmp_path, "ns")
+    assert (tmp_path / "ns").read_bytes() == b"not a directory"
+
+
 def test_filesystem_missing_root_unavailable(tmp_path):
     cfg = BackendConfig(
         kind=BackendKind.FILESYSTEM, root_path=tmp_path / "does-not-exist", namespace="x"
@@ -352,8 +360,6 @@ def test_queue_contract_reads_after_transport():
 def test_relational_schema_columns(tmp_path):
     store = RelationalStore(tmp_path, "ns")
     store.put(record(2, 4, payload=b"blob", accuracy=0.25, elapsed_ms=3.5))
-    import sqlite3
-
     conn = sqlite3.connect(tmp_path / "models.sqlite3")
     columns = [row[1] for row in conn.execute("PRAGMA table_info(models)")]
     assert columns == [
@@ -411,6 +417,23 @@ def test_relational_reads_on_closed_store_raise_unavailable(read, tmp_path):
     store.close()
     with pytest.raises(BackendUnavailableError):
         read(store)
+
+
+def test_relational_open_failure_closes_its_connection(tmp_path, monkeypatch):
+    (tmp_path / "models.sqlite3").write_bytes(b"not a database" * 100)
+    connections = []
+    connect = sqlite3.connect
+
+    def recording_connect(*args, **kwargs):
+        connections.append(connect(*args, **kwargs))
+        return connections[-1]
+
+    monkeypatch.setattr(sqlite3, "connect", recording_connect)
+    with pytest.raises(BackendUnavailableError):
+        RelationalStore(tmp_path, "ns")
+    (conn,) = connections
+    with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+        conn.execute("SELECT 1")
 
 
 def test_relational_fetch_round_sorts_without_a_temporary_sorter(tmp_path):
