@@ -9,7 +9,7 @@ also ships the benchmark harness used to compare those backends.
 from .backends import BackendConfig, BackendKind, open_backend
 from .conformance import run_suite
 from .crypto import FernetKey, decrypt, encrypt, generate_key, token_length
-from .data import Dataset, generate_synthetic, load_idx, partition
+from .data import Dataset, IdxSpec, SyntheticSpec, generate_synthetic, load_idx, partition
 from .errors import (
     AuthenticationError,
     BackendUnavailableError,
@@ -30,9 +30,7 @@ from .errors import (
 from .orchestrator import (
     Aggregation,
     ExperimentConfig,
-    IdxSpec,
     RoundOutcome,
-    SyntheticSpec,
     aggregate,
     run_client_round,
     run_experiment,

@@ -11,6 +11,8 @@ Flag bit 0 marks a present accuracy, bit 1 a present elapsed_ms; absent
 fields are written as zero. Writes go to a temp file in the same
 directory and are published with os.link, which is atomic and fails on an
 existing target, giving crash safety and duplicate detection in one step.
+With fsync on, the record file is synced before the link, and every
+directory that may have gained an entry (round, client, namespace) after it.
 
 Every OSError is a BackendUnavailableError, except a missing record on
 ``get`` (NotFoundError) and an existing one on ``link`` (DuplicateKeyError).
@@ -100,6 +102,14 @@ def _numbered_entries(directory: Path, suffix: str = "") -> Iterator[tuple[int, 
             yield int(number), entry
 
 
+def _fsync_dir(path: Path) -> None:
+    dir_fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 class FilesystemStore(ModelStore):
     def __init__(self, root: Path, namespace: str, fsync: bool = False):
         super().__init__(namespace)
@@ -108,6 +118,8 @@ class FilesystemStore(ModelStore):
         self._ns_dir = self.root / namespace
         try:
             self._ns_dir.mkdir(parents=True, exist_ok=True)
+            if fsync:
+                _fsync_dir(self.root)
         except OSError as exc:
             raise BackendUnavailableError(f"namespace {namespace!r}: {exc}") from exc
 
@@ -149,11 +161,8 @@ class FilesystemStore(ModelStore):
                         f"{record.key} already stored in {self.namespace!r}"
                     ) from None
                 if self.fsync:
-                    dir_fd = os.open(final.parent, os.O_RDONLY)
-                    try:
-                        os.fsync(dir_fd)
-                    finally:
-                        os.close(dir_fd)
+                    for directory in (final.parent, final.parent.parent, self._ns_dir):
+                        _fsync_dir(directory)
             finally:
                 tmp.unlink(missing_ok=True)
 

@@ -25,8 +25,9 @@ from .config import (
     parse_config_file,
     parse_dataset_spec,
 )
+from .data import SyntheticSpec
 from .errors import ConfigError, DDFLError
-from .orchestrator import SyntheticSpec, run_experiment
+from .orchestrator import run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

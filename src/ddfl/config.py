@@ -16,8 +16,9 @@ from typing import NamedTuple
 
 from .backends import BackendConfig, BackendKind
 from .crypto import FernetKey, generate_key
+from .data import IdxSpec, SyntheticSpec
 from .errors import ConfigError, ValidationError
-from .orchestrator import Aggregation, ExperimentConfig, IdxSpec, SyntheticSpec
+from .orchestrator import Aggregation, ExperimentConfig
 from .training import TrainConfig
 
 _REQUIRED = object()

@@ -1,16 +1,23 @@
-"""Datasets: synthetic Gaussian blobs, IDX ingestion, IID splits."""
+"""Datasets: synthetic Gaussian blobs, IDX ingestion, an experiment's row layout, IID splits."""
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
 
+if TYPE_CHECKING:
+    from .orchestrator import ExperimentConfig
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# Share of an IDX dataset's rows held out as the test set.
+IDX_TEST_FRACTION = 0.2
 
 # Blob geometry: unit-variance centers, cluster spread tuned so that a small
 # shard underfits measurably while the full dataset does not.
@@ -27,7 +34,8 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
-        features = np.ascontiguousarray(self.features, dtype=np.float32)
+        # Views (reshape makes one too), so freezing them leaves the caller's arrays writable.
+        features = np.ascontiguousarray(self.features, dtype=np.float32).view()
         labels = np.ascontiguousarray(self.labels, dtype=np.int64).reshape(-1)
         if features.ndim != 2:
             raise ValidationError(f"features must be 2-D, got shape {features.shape}")
@@ -68,6 +76,34 @@ class Dataset:
             and np.array_equal(self.features, other.features)
             and np.array_equal(self.labels, other.labels)
         )
+
+
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """Gaussian-blob dataset: n training samples, plus a held-out test set."""
+
+    n: int
+    d: int
+    k: int
+    test_n: int = 0
+
+    def __post_init__(self):
+        if self.n < 1 or self.d < 1 or self.k < 2 or self.test_n < 0:
+            raise ValidationError(
+                "synthetic dataset needs n >= 1, d >= 1, k >= 2 and test_n >= 0, got "
+                f"n={self.n}, d={self.d}, k={self.k}, test_n={self.test_n}"
+            )
+
+    def resolved_test_n(self) -> int:
+        return self.test_n if self.test_n > 0 else max(self.k, self.n // 4)
+
+
+@dataclass(frozen=True)
+class IdxSpec:
+    """IDX file pair; a seeded ``IDX_TEST_FRACTION`` of the rows becomes the test set."""
+
+    images: Path
+    labels: Path
 
 
 def _near_equal_counts(n: int, k: int) -> list[int]:
@@ -141,34 +177,13 @@ def _draw_synthetic(
 def generate_synthetic(n: int, d: int, k: int, seed: int) -> Dataset:
     """Deterministic k-cluster Gaussian blobs with near-equal class counts.
 
-    Cluster centers and sample noise are drawn from a single PRNG seeded
-    with ``seed``, then rows are shuffled so classes are interleaved. Each
-    class block is drawn and offset by its center in float64, a few hundred
-    rows at a time, then stored in the float32 feature matrix, so no float64
-    copy of the whole matrix is ever held. The shuffle permutes that
-    matrix's rows in place, so it is the only n x d matrix generation holds.
+    Rows are drawn by ``_draw_synthetic`` from one PRNG seeded with ``seed``,
+    then shuffled in place so classes are interleaved; the float32 feature
+    matrix is the only n x d array generation holds.
     """
     features, labels, order = _draw_synthetic(n, d, k, seed)
     _permute_rows(features, order)
     return Dataset(features, labels[order], k)
-
-
-def _lay_out(
-    features: np.ndarray, labels: np.ndarray, num_classes: int,
-    train_rows: np.ndarray, test_rows: np.ndarray, seed: int,
-) -> tuple[Dataset, Dataset]:
-    """Permute ``features`` in place into the (train, test) row layout; return both.
-
-    The order is ``[train_rows shuffled by default_rng(seed).permutation | test_rows]``,
-    so the view ``partition`` gives client c holds the rows that shuffle deals it.
-    """
-    split = np.random.default_rng(seed).permutation(len(train_rows))
-    order = np.concatenate([train_rows[split], test_rows])
-    _permute_rows(features, order)
-    labels = labels[order]
-    n = len(train_rows)
-    train = Dataset(features[:n], labels[:n], num_classes)
-    return train, Dataset(features[n:], labels[n:], num_classes)
 
 
 def partition(data: Dataset, n_clients: int) -> list[Dataset]:
@@ -254,3 +269,32 @@ def _read_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray, int]:
     np.divide(features, np.float32(255.0), out=features)
     num_classes = max(2, int(labels.max()) + 1) if n_labels else 2
     return features, labels, num_classes
+
+
+def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """Materialize the (train, test) pair described by the experiment config.
+
+    The source's float32 matrix is permuted in place once, into the order
+    ``[train rows shuffled by default_rng(cfg.seed).permutation | test rows]``,
+    so both sets, and the shards ``partition(train, cfg.n_clients)`` makes,
+    are views of it: client c holds the rows that shuffle deals it.
+    """
+    spec = cfg.dataset
+    if isinstance(spec, SyntheticSpec):
+        # generate_synthetic's rows would be features[order], the first n of
+        # them train; the layout composes that shuffle with the split's.
+        n_rows = spec.n + spec.resolved_test_n()
+        features, labels, order = _draw_synthetic(n_rows, spec.d, spec.k, cfg.seed)
+        num_classes, train_rows, test_rows = spec.k, order[: spec.n], order[spec.n :]
+    else:
+        features, labels, num_classes = _read_idx(spec.images, spec.labels)
+        holdout = max(1, int(len(labels) * IDX_TEST_FRACTION))
+        order = np.random.default_rng(cfg.seed).permutation(len(labels))
+        train_rows, test_rows = order[holdout:], order[:holdout]
+    n = len(train_rows)
+    split = np.random.default_rng(cfg.seed).permutation(n)
+    order = np.concatenate([train_rows[split], test_rows])
+    _permute_rows(features, order)
+    labels = labels[order]
+    train = Dataset(features[:n], labels[:n], num_classes)
+    return train, Dataset(features[n:], labels[n:], num_classes)

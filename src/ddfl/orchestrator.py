@@ -19,13 +19,12 @@ import enum
 import logging
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .backends import BackendConfig, open_backend
 from .crypto import FernetKey, decrypt, encrypt
-from .data import Dataset, _draw_synthetic, _lay_out, _read_idx, partition
+from .data import Dataset, IdxSpec, SyntheticSpec, build_datasets, partition
 from .errors import BarrierTimeoutError, ValidationError
 from .params import ParameterVector, deserialize_params, init_model, serialize_params
 from .store import ModelRecord, ModelStore, StoreKey, global_key, now_ms
@@ -35,41 +34,11 @@ log = logging.getLogger(__name__)
 
 # How long the barrier sleeps between two fetch_round polls.
 POLL_INTERVAL_MS = 5.0
-# Share of an IDX dataset's rows held out as the test set.
-IDX_TEST_FRACTION = 0.2
 
 
 class Aggregation(enum.Enum):
     UNIFORM = "uniform"
     SAMPLE_WEIGHTED = "sample_weighted"
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Gaussian-blob dataset: n training samples, plus a held-out test set."""
-
-    n: int
-    d: int
-    k: int
-    test_n: int = 0
-
-    def __post_init__(self):
-        if self.n < 1 or self.d < 1 or self.k < 2 or self.test_n < 0:
-            raise ValidationError(
-                "synthetic dataset needs n >= 1, d >= 1, k >= 2 and test_n >= 0, got "
-                f"n={self.n}, d={self.d}, k={self.k}, test_n={self.test_n}"
-            )
-
-    def resolved_test_n(self) -> int:
-        return self.test_n if self.test_n > 0 else max(self.k, self.n // 4)
-
-
-@dataclass(frozen=True)
-class IdxSpec:
-    """IDX file pair; a seeded ``IDX_TEST_FRACTION`` of the rows becomes the test set."""
-
-    images: Path
-    labels: Path
 
 
 @dataclass(frozen=True)
@@ -247,29 +216,6 @@ def run_round(
         bytes_written=client_bytes + len(token),
         bytes_read=cfg.n_clients * len(previous.payload) + client_bytes,
     )
-
-
-def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """Materialize the (train, test) pair described by the experiment config.
-
-    Each source gives its float32 matrix, labels and train and test rows;
-    ``_lay_out`` permutes the matrix in place so that both sets, and the
-    shards ``partition(train, cfg.n_clients)`` makes, are views of it.
-    """
-    spec = cfg.dataset
-    if isinstance(spec, SyntheticSpec):
-        # generate_synthetic's rows would be features[order], the first n of
-        # them train; the layout composes that shuffle with the split's.
-        features, labels, order = _draw_synthetic(
-            spec.n + spec.resolved_test_n(), spec.d, spec.k, cfg.seed
-        )
-        num_classes, train_rows, test_rows = spec.k, order[: spec.n], order[spec.n :]
-    else:
-        features, labels, num_classes = _read_idx(spec.images, spec.labels)
-        holdout = max(1, int(len(labels) * IDX_TEST_FRACTION))
-        order = np.random.default_rng(cfg.seed).permutation(len(labels))
-        train_rows, test_rows = order[holdout:], order[:holdout]
-    return _lay_out(features, labels, num_classes, train_rows, test_rows, cfg.seed)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RoundOutcome]:

@@ -54,6 +54,15 @@ def test_dataset_rejects_a_single_non_finite_value(bad, where):
         Dataset(x, np.array([0, 1, 0]), 2)
 
 
+def test_dataset_leaves_the_callers_arrays_writable():
+    features = np.zeros((3, 2), dtype=np.float32)
+    labels = np.array([0, 1, 0], dtype=np.int64)
+    data = Dataset(features, labels, 2)
+    assert features.flags.writeable and labels.flags.writeable
+    assert not data.features.flags.writeable and not data.labels.flags.writeable
+    assert np.shares_memory(data.features, features)
+
+
 def test_dataset_accepts_an_empty_matrix():
     data = Dataset(np.empty((0, 3), dtype=np.float32), np.empty(0, dtype=np.int64), 2)
     assert len(data) == 0

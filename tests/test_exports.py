@@ -1,7 +1,33 @@
+import ast
+import re
+from pathlib import Path
+
 import ddfl
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in ddfl.__all__ if not hasattr(ddfl, name)]
     assert not missing, f"ddfl.__all__ names undefined attributes: {missing}"
     assert len(set(ddfl.__all__)) == len(ddfl.__all__), "ddfl.__all__ repeats a name"
+
+
+def test_no_module_imports_another_modules_private_names():
+    package = Path(ddfl.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [
+                    f"{path.relative_to(package)}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert not found, found
+
+
+def test_readme_quick_start_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) == 1, f"expected one python block in README, found {len(blocks)}"
+    exec(compile(blocks[0], f"{README}:quick start", "exec"), {})

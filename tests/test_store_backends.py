@@ -341,6 +341,34 @@ def test_fsync_flag_accepted(tmp_path):
     assert store.get(StoreKey(0, 1, 0)).payload == b"payload"
 
 
+def test_filesystem_fsync_syncs_each_directory_that_gained_an_entry(tmp_path, monkeypatch):
+    """With fsync on, a put syncs its record and every directory that gained an entry."""
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        synced.append((st.st_dev, st.st_ino))
+        real_fsync(fd)
+
+    monkeypatch.setattr(fs_mod.os, "fsync", recording_fsync)
+
+    def synced_paths():
+        names = {}
+        for path in [tmp_path, *tmp_path.rglob("*")]:
+            st = path.stat()
+            names[(st.st_dev, st.st_ino)] = path.relative_to(tmp_path).as_posix()
+        found = sorted(names[i] for i in synced)
+        synced.clear()
+        return found
+
+    store = FilesystemStore(tmp_path, "ns", fsync=True)
+    assert synced_paths() == ["."]
+    store.put(record(0, 1))
+    # The temp file synced before the link is the record's inode.
+    assert synced_paths() == ["ns", "ns/0", "ns/0/1", "ns/0/1/0.rec"]
+
+
 # --- queue backend --------------------------------------------------------------
 
 def test_queue_contract_reads_after_transport():
