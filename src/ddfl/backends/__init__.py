@@ -10,11 +10,10 @@ name it.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import BackendUnavailableError, ValidationError
+from ..errors import ValidationError
 from ..store import ModelStore, check_namespace
 
 
@@ -55,16 +54,10 @@ class BackendConfig:
 def open_backend(cfg: BackendConfig) -> ModelStore:
     """Construct a ModelStore for the configured backend.
 
-    Disk backends require ``root_path`` to already exist and be writable;
-    they create their own files underneath it but never the root itself.
+    Disk backends require ``root_path`` to already exist; they create their
+    own files underneath it but never the root itself, and refuse a missing
+    root with BackendUnavailableError.
     """
-    if cfg.kind in DISK_BACKENDS:
-        root = cfg.root_path
-        if not root.is_dir():
-            raise BackendUnavailableError(f"root_path {root} is not an existing directory")
-        if not os.access(root, os.W_OK):
-            raise BackendUnavailableError(f"root_path {root} is not writable")
-
     if cfg.kind is BackendKind.MEMORY:
         from .memory import MemoryStore
 
@@ -77,11 +70,9 @@ def open_backend(cfg: BackendConfig) -> ModelStore:
         from .queue import QueueStore
 
         return QueueStore(cfg.namespace)
-    if cfg.kind is BackendKind.RELATIONAL:
-        from .relational import RelationalStore
+    from .relational import RelationalStore
 
-        return RelationalStore(cfg.root_path, cfg.namespace, fsync=cfg.fsync)
-    raise ValidationError(f"unhandled backend kind {cfg.kind}")
+    return RelationalStore(cfg.root_path, cfg.namespace, fsync=cfg.fsync)
 
 
 __all__ = [

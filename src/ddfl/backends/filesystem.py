@@ -16,8 +16,8 @@ directory that may have gained an entry (round, client, namespace) after it.
 
 Every OSError is a BackendUnavailableError, except a missing record on
 ``get`` (NotFoundError) and an existing one on ``link`` (DuplicateKeyError).
-So is a namespace path that is not a directory, at open (which makes the
-directory) or later.
+So is a missing root at open, which makes only the namespace directory, and
+a namespace path that is not a directory, at open or later.
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ class FilesystemStore(ModelStore):
         self.fsync = fsync
         self._ns_dir = self.root / namespace
         try:
-            self._ns_dir.mkdir(parents=True, exist_ok=True)
+            # No parents=True: a missing root stays missing.
+            self._ns_dir.mkdir(exist_ok=True)
             if fsync:
                 _fsync_dir(self.root)
         except OSError as exc:

@@ -16,10 +16,10 @@ import time
 import uuid
 
 from .backends import BackendConfig, open_backend
-from .crypto import FernetKey, decrypt, encrypt, token_length
+from .crypto import FernetKey, token_length
 from .errors import DDFLError
-from .orchestrator import ExperimentConfig, run_experiment
-from .params import deserialize_params, init_model, serialize_params
+from .orchestrator import ExperimentConfig, model_of, put_model, run_experiment
+from .params import init_model, serialize_params
 from .report import MetricsReport
 from .store import ModelRecord, StoreKey
 
@@ -50,7 +50,7 @@ def _median_s(call) -> float:
     return statistics.median(times)
 
 
-def _add_measured(report, metrics, cfg: BackendConfig, dataset, param, unit, measure) -> None:
+def _add_measured(report, metrics, cfg: BackendConfig, param, unit, measure) -> None:
     """Add one row per metric for backend ``cfg``, valued by ``measure(cfg)``.
 
     ``measure`` runs the backend's whole measurement: open, write and time.
@@ -62,7 +62,7 @@ def _add_measured(report, metrics, cfg: BackendConfig, dataset, param, unit, mea
     except DDFLError as exc:
         values = [f"failed:{type(exc).__name__}"] * len(metrics)
     for metric, value in zip(metrics, values, strict=True):
-        report.add(metric, cfg.kind.value, dataset, param, value, unit)
+        report.add(metric, cfg.kind.value, DATASET_LABEL, param, value, unit)
 
 
 def bench_query(
@@ -86,9 +86,7 @@ def bench_query(
     report = MetricsReport()
     param = f"records={records};payload={payload_bytes}"
     for cfg in backend_configs:
-        _add_measured(
-            report, ["query_get_median", "query_get_p95"], cfg, DATASET_LABEL, param, "ms", measure
-        )
+        _add_measured(report, ["query_get_median", "query_get_p95"], cfg, param, "ms", measure)
     return report
 
 
@@ -115,9 +113,8 @@ def bench_comm(
     )
 
     def move_model(store, key):
-        token = encrypt(group_key, serialize_params(model))
-        store.put(ModelRecord(key=key, payload=token, stored_at=1))
-        deserialize_params(decrypt(group_key, store.get(key).payload))
+        put_model(store, group_key, key, model)
+        model_of(store.get(key), group_key)
 
     def measure(cfg):
         keys = (StoreKey(0, rep, 0) for rep in itertools.count(1))
@@ -125,7 +122,7 @@ def bench_comm(
             return [_median_s(lambda: move_model(store, next(keys))) * 1e3]
 
     for cfg in backend_configs:
-        _add_measured(report, ["comm_time"], cfg, DATASET_LABEL, param, "ms", measure)
+        _add_measured(report, ["comm_time"], cfg, param, "ms", measure)
     return report
 
 

@@ -64,7 +64,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RoundOutcome:
-    """Per-round metrics. Byte counters follow the store traffic exactly:
+    """Per-round metrics. ``round_wall_ms`` runs from the start of the round's
+    first client to the start of the new global's publish, so it leaves out
+    that publish's encrypt and ``put``. Byte counters follow the store
+    traffic exactly:
 
     bytes_written = sum of the N client token lengths + the new global token;
     bytes_read    = N downloads of the previous global token + the master's
@@ -114,6 +117,28 @@ def aggregate(models: list[ParameterVector], weights: list[float]) -> ParameterV
     return ParameterVector((acc / total).astype(np.float32), shapes)
 
 
+def put_model(
+    store: ModelStore,
+    group_key: FernetKey,
+    slot: StoreKey,
+    model: ParameterVector,
+    accuracy: float | None = None,
+    elapsed_ms: float | None = None,
+) -> int:
+    """Serialize, encrypt and store ``model`` at ``slot``; returns the token length.
+
+    With ``model_of``, the one path between a model and a record.
+    """
+    token = encrypt(group_key, serialize_params(model))
+    store.put(ModelRecord(slot, token, accuracy, elapsed_ms, stored_at=now_ms()))
+    return len(token)
+
+
+def model_of(record: ModelRecord, group_key: FernetKey) -> ParameterVector:
+    """The model that ``put_model`` stored in ``record``."""
+    return deserialize_params(decrypt(group_key, record.payload))
+
+
 def run_client_round(
     client_id: int,
     round_number: int,
@@ -127,20 +152,11 @@ def run_client_round(
     Fetches and decrypts the previous global, trains on the shard, then
     encrypts and stores the local model at (client_id, round, 0).
     """
-    previous = store.get(global_key(round_number - 1))
-    model = deserialize_params(decrypt(key, previous.payload))
+    model = model_of(store.get(global_key(round_number - 1)), key)
     start = time.perf_counter()
     trained = local_train(model, shard, cfg)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    token = encrypt(key, serialize_params(trained))
-    store.put(
-        ModelRecord(
-            key=StoreKey(client_id, round_number, 0),
-            payload=token,
-            elapsed_ms=elapsed_ms,
-            stored_at=now_ms(),
-        )
-    )
+    put_model(store, key, StoreKey(client_id, round_number, 0), trained, elapsed_ms=elapsed_ms)
     return elapsed_ms
 
 
@@ -181,31 +197,25 @@ def run_round(
     ``shard_sizes[c]`` is client c's sample count, its weight under
     sample-weighted aggregation. ``round_started`` is the
     ``time.perf_counter()`` reading at which the round's clients began;
-    the round's wall time, reported and stored with the new global, is
-    measured from it (default: the call to this function).
+    the round's wall time, reported and stored with the new global, runs
+    from it (default: the call to this function) to the start of the
+    global's publish, after evaluation and before its encrypt.
     """
     start = time.perf_counter() if round_started is None else round_started
     if len(shard_sizes) != cfg.n_clients:
         raise ValidationError(f"{len(shard_sizes)} shard sizes for {cfg.n_clients} clients")
     records = _await_round(store, round_number, cfg.n_clients, cfg.barrier_timeout_ms)
     previous = store.get(global_key(round_number - 1))
-    models = [deserialize_params(decrypt(cfg.group_key, rec.payload)) for rec in records]
+    models = [model_of(rec, cfg.group_key) for rec in records]
     if cfg.aggregation is Aggregation.SAMPLE_WEIGHTED:
         weights = [float(shard_sizes[rec.key.client_id]) for rec in records]
     else:
         weights = [1.0] * len(models)
     new_global = aggregate(models, weights)
     result = evaluate(new_global, test_set)
-    token = encrypt(cfg.group_key, serialize_params(new_global))
     round_wall_ms = (time.perf_counter() - start) * 1000.0
-    store.put(
-        ModelRecord(
-            key=global_key(round_number),
-            payload=token,
-            accuracy=result.accuracy,
-            elapsed_ms=round_wall_ms,
-            stored_at=now_ms(),
-        )
+    global_bytes = put_model(
+        store, cfg.group_key, global_key(round_number), new_global, result.accuracy, round_wall_ms
     )
     client_bytes = sum(len(rec.payload) for rec in records)
     return RoundOutcome(
@@ -213,7 +223,7 @@ def run_round(
         global_accuracy=result.accuracy,
         round_wall_ms=round_wall_ms,
         per_client_train_ms=tuple(rec.elapsed_ms or 0.0 for rec in records),
-        bytes_written=client_bytes + len(token),
+        bytes_written=client_bytes + global_bytes,
         bytes_read=cfg.n_clients * len(previous.payload) + client_bytes,
     )
 
@@ -228,14 +238,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundOutcome]:
     with open_backend(cfg.backend) as store:
         initial = init_model([layer], cfg.seed)
         baseline = evaluate(initial, test)
-        store.put(
-            ModelRecord(
-                key=global_key(0),
-                payload=encrypt(cfg.group_key, serialize_params(initial)),
-                accuracy=baseline.accuracy,
-                stored_at=now_ms(),
-            )
-        )
+        put_model(store, cfg.group_key, global_key(0), initial, accuracy=baseline.accuracy)
         log.info("round 0: initial accuracy %.4f", baseline.accuracy)
 
         outcomes = []

@@ -123,15 +123,12 @@ def local_train(params: ParameterVector, data: Dataset, cfg: TrainConfig) -> Par
     """Run seeded mini-batch SGD and return the updated parameters.
 
     The input vector is never modified. ``epochs == 0`` returns a bitwise
-    copy of the input.
+    copy of the input: no step overwrites the scratch copies it starts from.
     """
     _check_shapes(params, data)
     n = len(data)
     if cfg.batch_size > n:
         raise ValidationError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
-    if cfg.epochs == 0:
-        return ParameterVector(params.values, params.shapes)
-
     rng = np.random.default_rng(cfg.seed)
     # float64 arrays that always hold float32-rounded values: the float32
     # parameter bits, converted once per step instead of once per use.
@@ -140,8 +137,8 @@ def local_train(params: ParameterVector, data: Dataset, cfg: TrainConfig) -> Par
     b = b0.astype(np.float64)
     # Each step rounds through these float32 scratch arrays, which hold the
     # result once training ends.
-    w32 = np.empty(w.shape, dtype=np.float32)
-    b32 = np.empty(b.shape, dtype=np.float32)
+    w32 = w0.copy()
+    b32 = b0.copy()
     lr = float(cfg.learning_rate)
 
     for epoch in range(cfg.epochs):

@@ -1,10 +1,14 @@
+import ast
+import collections
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ddfl import orchestrator
 from ddfl.backends import BackendConfig, BackendKind, open_backend
-from ddfl.crypto import decrypt, encrypt, generate_key
+from ddfl.crypto import FernetKey, decrypt, generate_key
 from ddfl.data import Dataset, generate_synthetic, load_idx, partition
 from ddfl.errors import (
     AuthenticationError,
@@ -22,16 +26,13 @@ from ddfl.orchestrator import (
     aggregate,
     build_datasets,
     client_seed,
+    model_of,
+    put_model,
     run_client_round,
     run_experiment,
     run_round,
 )
-from ddfl.params import (
-    ParameterVector,
-    deserialize_params,
-    init_model,
-    serialize_params,
-)
+from ddfl.params import ParameterVector, init_model
 from ddfl.store import ModelRecord, StoreKey, global_key, now_ms
 from ddfl.training import TrainConfig
 from test_data import write_idx_pair
@@ -136,14 +137,21 @@ def setup_store_with_initial(cfg):
     store = open_backend(cfg.backend)
     train, test = build_datasets(cfg)
     initial = init_model([(train.dim, train.num_classes)], cfg.seed)
-    store.put(
-        ModelRecord(
-            key=global_key(0),
-            payload=encrypt(cfg.group_key, serialize_params(initial)),
-            stored_at=now_ms(),
-        )
-    )
+    put_model(store, cfg.group_key, global_key(0), initial)
     return store, train, test, initial
+
+
+def test_put_model_stores_what_model_of_reads():
+    cfg = memory_cfg()
+    store = open_backend(cfg.backend)
+    model = init_model([(4, 2)], seed=1)
+    before = now_ms()
+    token_len = put_model(store, cfg.group_key, global_key(3), model, 0.5, 12.0)
+    rec = store.get(global_key(3))
+    assert token_len == len(rec.payload)
+    assert (rec.accuracy, rec.elapsed_ms) == (0.5, 12.0)
+    assert rec.stored_at >= before
+    assert model_of(rec, cfg.group_key).values.tobytes() == model.values.tobytes()
 
 
 def test_run_client_round_stores_valid_model():
@@ -153,8 +161,7 @@ def test_run_client_round_stores_valid_model():
     elapsed = run_client_round(0, 1, store, cfg.group_key, shard, cfg.train)
     assert elapsed >= 0
     rec = store.get(StoreKey(0, 1, 0))
-    model = deserialize_params(decrypt(cfg.group_key, rec.payload))
-    assert model.shapes == initial.shapes
+    assert model_of(rec, cfg.group_key).shapes == initial.shapes
     assert rec.elapsed_ms is not None
 
 
@@ -163,9 +170,7 @@ def test_run_client_round_epochs_zero_stores_global_bitwise():
     store, train, test, initial = setup_store_with_initial(cfg)
     shard = generate_synthetic(50, 4, 2, seed=3)
     run_client_round(0, 1, store, cfg.group_key, shard, cfg.train)
-    stored = deserialize_params(
-        decrypt(cfg.group_key, store.get(StoreKey(0, 1, 0)).payload)
-    )
+    stored = model_of(store.get(StoreKey(0, 1, 0)), cfg.group_key)
     assert stored.values.tobytes() == initial.values.tobytes()
 
 
@@ -203,7 +208,7 @@ def test_run_round_epochs_zero_fixed_point():
     for cid in range(2):
         run_client_round(cid, 1, store, cfg.group_key, shards[cid], cfg.train)
     outcome = run_round(1, store, cfg, test, shard_sizes=[50, 50])
-    new_global = deserialize_params(decrypt(cfg.group_key, store.get(global_key(1)).payload))
+    new_global = model_of(store.get(global_key(1)), cfg.group_key)
     assert new_global.values.tobytes() == initial.values.tobytes()
     assert store.latest_round() == 1
     assert isinstance(outcome, RoundOutcome)
@@ -251,7 +256,7 @@ def _round_one_global(cfg, extra_records=()):
     for key in extra_records:
         store.put(ModelRecord(key=key, payload=store.get(StoreKey(0, 1, 0)).payload))
     run_round(1, store, cfg, test, [len(s) for s in shards])
-    return deserialize_params(decrypt(cfg.group_key, store.get(global_key(1)).payload))
+    return model_of(store.get(global_key(1)), cfg.group_key)
 
 
 def test_run_round_ignores_a_later_iteration_record():
@@ -336,6 +341,56 @@ def test_experiment_round_time_covers_client_training():
         assert outcome.round_wall_ms >= sum(outcome.per_client_train_ms)
 
 
+def _traced_functions() -> tuple[str, ...]:
+    """``TRACED_FUNCTIONS`` of the round benchmark's tracer, read without importing it."""
+    tree = ast.parse((Path(__file__).parents[1] / "roundbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "TRACED_FUNCTIONS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("roundbench/tracing.py defines no TRACED_FUNCTIONS")
+
+
+def test_orchestrator_calls_traced_functions_in_the_shape_the_tracer_reads(monkeypatch):
+    # The round benchmark traces a run by replacing these module globals of
+    # ddfl.orchestrator, reads sizes and round numbers from positional
+    # arguments and counts the crypto calls of each round.
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    names = _traced_functions()
+    for name in names:
+        monkeypatch.setattr(orchestrator, name, recording(name, getattr(orchestrator, name)))
+    cfg = memory_cfg(n_clients=2, rounds=2)
+    run_experiment(cfg)
+
+    assert {name for name, _, _ in calls} == set(names)
+    per_round = collections.defaultdict(collections.Counter)
+    round_number = 0
+    for name, args, kwargs in calls:
+        if name == "run_client_round":
+            round_number = args[1]
+        elif name == "run_round":
+            round_number = args[0]
+        per_round[round_number][name] += 1
+        if name in ("encrypt", "decrypt"):
+            assert not kwargs and len(args) == 2
+            assert isinstance(args[0], FernetKey) and isinstance(args[1], bytes)
+        elif name == "local_train":
+            assert not kwargs and len(args) == 3
+            model, shard, train_cfg = args
+            assert isinstance(model, ParameterVector) and isinstance(shard, Dataset)
+            assert isinstance(train_cfg, TrainConfig)
+    for r in (1, 2):
+        assert per_round[r]["encrypt"] == cfg.n_clients + 1
+        assert per_round[r]["decrypt"] == 2 * cfg.n_clients
+
+
 def test_uniform_vs_sample_weighted_differ_on_uneven_shards():
     # 3 clients over 100 samples -> shard sizes (34, 33, 33).
     base = dict(
@@ -361,13 +416,7 @@ def test_stored_payloads_reject_wrong_key():
     train, test = build_datasets(cfg)
     shards = partition(train, 2)
     initial = init_model([(train.dim, train.num_classes)], cfg.seed)
-    store.put(
-        ModelRecord(
-            key=global_key(0),
-            payload=encrypt(cfg.group_key, serialize_params(initial)),
-            stored_at=now_ms(),
-        )
-    )
+    put_model(store, cfg.group_key, global_key(0), initial)
     for round_number in (1, 2):
         for cid in range(2):
             run_client_round(

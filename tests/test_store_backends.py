@@ -297,12 +297,17 @@ def test_filesystem_namespace_path_that_is_a_file_fails_open(tmp_path):
     assert (tmp_path / "ns").read_bytes() == b"not a directory"
 
 
-def test_filesystem_missing_root_unavailable(tmp_path):
-    cfg = BackendConfig(
-        kind=BackendKind.FILESYSTEM, root_path=tmp_path / "does-not-exist", namespace="x"
-    )
+@pytest.mark.parametrize("entry", ["open_backend", "store_class"])
+@pytest.mark.parametrize("kind", sorted(DISK_BACKENDS, key=lambda k: k.value), ids=lambda k: k.value)
+def test_filesystem_missing_root_unavailable(kind, entry, tmp_path):
+    # Both entry points refuse a missing root and create none of its missing ancestors.
+    root = tmp_path / "missing" / "deeper"
     with pytest.raises(BackendUnavailableError):
-        open_backend(cfg)
+        if entry == "open_backend":
+            open_backend(BackendConfig(kind=kind, root_path=root, namespace="x"))
+        else:
+            STORE_CONSTRUCTORS[kind](root, "x")
+    assert not any(tmp_path.iterdir())
 
 
 STORE_CONSTRUCTORS = {
