@@ -7,7 +7,7 @@ also ships the benchmark harness used to compare those backends.
 """
 
 from .backends import BackendConfig, BackendKind, open_backend
-from .conformance import run_suite
+from .conformance import check_backend, run_suite
 from .crypto import FernetKey, decrypt, encrypt, generate_key, token_length
 from .data import Dataset, IdxSpec, SyntheticSpec, generate_synthetic, load_idx, partition
 from .errors import (
@@ -82,6 +82,7 @@ __all__ = [
     "UnsupportedVersionError",
     "ValidationError",
     "aggregate",
+    "check_backend",
     "decrypt",
     "deserialize_params",
     "encrypt",

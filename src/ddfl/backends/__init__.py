@@ -10,7 +10,8 @@ name it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..errors import ValidationError
@@ -51,6 +52,11 @@ class BackendConfig:
             raise ValidationError(f"backend {self.kind.value} requires a root_path")
 
 
+def fresh_namespace(cfg: BackendConfig, label: str) -> BackendConfig:
+    """``cfg`` in a new namespace, so repeated runs over one root never share keys."""
+    return replace(cfg, namespace=f"{cfg.namespace}-{label}-{os.urandom(4).hex()}")
+
+
 def open_backend(cfg: BackendConfig) -> ModelStore:
     """Construct a ModelStore for the configured backend.
 
@@ -79,5 +85,6 @@ __all__ = [
     "BackendConfig",
     "BackendKind",
     "DISK_BACKENDS",
+    "fresh_namespace",
     "open_backend",
 ]

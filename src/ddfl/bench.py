@@ -13,9 +13,8 @@ import itertools
 import os
 import statistics
 import time
-import uuid
 
-from .backends import BackendConfig, open_backend
+from .backends import BackendConfig, fresh_namespace, open_backend
 from .crypto import FernetKey, token_length
 from .errors import DDFLError
 from .orchestrator import ExperimentConfig, model_of, put_model, run_experiment
@@ -27,11 +26,6 @@ REPETITIONS = 5
 # Dataset column of the query and comm rows, whose payloads are random
 # bytes and freshly initialized models.
 DATASET_LABEL = "synthetic"
-
-
-def _fresh_namespace(cfg: BackendConfig, label: str) -> BackendConfig:
-    # Repeated benchmark runs over one root must not collide on keys.
-    return dataclasses.replace(cfg, namespace=f"{cfg.namespace}-{label}-{uuid.uuid4().hex[:8]}")
 
 
 def _percentile_95(samples: list[float]) -> float:
@@ -76,7 +70,7 @@ def bench_query(
     """
 
     def measure(cfg):
-        with open_backend(_fresh_namespace(cfg, "query")) as store:
+        with open_backend(fresh_namespace(cfg, "query")) as store:
             keys = [StoreKey(i, 1, 0) for i in range(records)]
             for key in keys:
                 store.put(ModelRecord(key=key, payload=os.urandom(payload_bytes), stored_at=1))
@@ -118,7 +112,7 @@ def bench_comm(
 
     def measure(cfg):
         keys = (StoreKey(0, rep, 0) for rep in itertools.count(1))
-        with open_backend(_fresh_namespace(cfg, "comm")) as store:
+        with open_backend(fresh_namespace(cfg, "comm")) as store:
             return [_median_s(lambda: move_model(store, next(keys))) * 1e3]
 
     for cfg in backend_configs:
@@ -156,7 +150,7 @@ def bench_scale(
             base,
             n_clients=n_clients,
             dataset=dataclasses.replace(spec, n=n),
-            backend=_fresh_namespace(backend_cfg, f"scale{n_clients}"),
+            backend=fresh_namespace(backend_cfg, f"scale{n_clients}"),
         )
         start = time.perf_counter()
         run_experiment(cfg)

@@ -14,9 +14,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .backends import DISK_BACKENDS, BackendConfig, BackendKind, open_backend
+from .backends import BackendConfig
 from .bench import bench_comm, bench_query, bench_scale
-from .conformance import PropertyResult, run_suite
+from .conformance import PropertyResult, check_backend
 from .config import (
     backend_config,
     backend_kinds,
@@ -130,31 +130,12 @@ def conformance_exit_code(results: list[tuple[str, list[PropertyResult]]]) -> in
     return EXIT_OK if ok else EXIT_RUNTIME
 
 
-def _conformance_factories(kind: BackendKind, root: Path):
-    counter = [0]
-
-    def reopen():
-        return open_backend(
-            BackendConfig(kind=kind, root_path=root, namespace=f"conformance-{counter[0]}")
-        )
-
-    def factory():
-        counter[0] += 1
-        return reopen()
-
-    # Only disk backends can demonstrate durability across reopen.
-    return factory, (reopen if kind in DISK_BACKENDS else None)
-
-
 def cmd_conformance(args) -> int:
     kinds = backend_kinds({"backend": args.backend})
     all_results = []
     with tempfile.TemporaryDirectory(prefix="ddfl-conformance-") as tmp:
         for kind in kinds:
-            root = Path(tmp) / kind.value
-            root.mkdir()
-            factory, reopen = _conformance_factories(kind, root)
-            results = run_suite(factory, reopen=reopen)
+            results = check_backend(BackendConfig(kind=kind, root_path=Path(tmp)))
             all_results.append((kind.value, results))
             for result in results:
                 status = "pass" if result.passed else "FAIL"

@@ -1,9 +1,9 @@
 """The ModelStore conformance suite.
 
 One property set, run unchanged against every backend, proving the
-backends are interchangeable behind the contract. Callers supply a
-factory returning a fresh, empty store per property; disk backends may
-also supply a ``reopen`` callable to check durability across restarts.
+backends are interchangeable behind the contract. ``check_backend`` runs
+it over a configured backend; ``run_suite`` over stores from any factory,
+with an optional ``reopen`` callable to check durability across restarts.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
+from .backends import DISK_BACKENDS, BackendConfig, fresh_namespace, open_backend
 from .errors import DuplicateKeyError, NotFoundError, ValidationError
 from .store import GLOBAL_CLIENT_ID, ModelRecord, ModelStore, StoreKey, global_key
 
@@ -23,6 +24,12 @@ class PropertyResult:
     name: str
     passed: bool
     detail: str = ""
+
+
+def _expect(condition: bool, message: str) -> None:
+    # An assert statement would vanish under python -O and pass every store.
+    if not condition:
+        raise AssertionError(message)
 
 
 def _random_record(rng: random.Random, client_id: int, round_number: int) -> ModelRecord:
@@ -40,11 +47,11 @@ def _check_roundtrip(store: ModelStore, rng: random.Random) -> None:
     record = _random_record(rng, 3, 2)
     store.put(record)
     got = store.get(record.key)
-    assert got.payload == record.payload, "payload changed across put/get"
-    assert got.key == record.key, "key changed across put/get"
-    assert got.accuracy == record.accuracy, "accuracy changed across put/get"
-    assert got.elapsed_ms == record.elapsed_ms, "elapsed_ms changed across put/get"
-    assert got.stored_at == record.stored_at, "stored_at changed across put/get"
+    _expect(got.payload == record.payload, "payload changed across put/get")
+    _expect(got.key == record.key, "key changed across put/get")
+    _expect(got.accuracy == record.accuracy, "accuracy changed across put/get")
+    _expect(got.elapsed_ms == record.elapsed_ms, "elapsed_ms changed across put/get")
+    _expect(got.stored_at == record.stored_at, "stored_at changed across put/get")
 
 
 def _check_duplicate_rejection(store: ModelStore, rng: random.Random) -> None:
@@ -85,19 +92,19 @@ def _check_sorted_fetch_round(store: ModelStore, rng: random.Random) -> None:
         store.put(_random_record(rng, client_id, 4))
     records = store.fetch_round(4, 3)
     ids = [rec.key.client_id for rec in records]
-    assert ids == [0, 1, 2], f"fetch_round returned client order {ids}"
-    assert store.fetch_round(5, 3) == [], "fetch_round on an empty round must be []"
+    _expect(ids == [0, 1, 2], f"fetch_round returned client order {ids}")
+    _expect(store.fetch_round(5, 3) == [], "fetch_round on an empty round must be []")
 
 
 def _check_latest_round(store: ModelStore, rng: random.Random) -> None:
-    assert store.latest_round() == 0, "empty store must report latest_round 0"
+    _expect(store.latest_round() == 0, "empty store must report latest_round 0")
     for round_number in (1, 3):
         store.put(_random_record(rng, GLOBAL_CLIENT_ID, round_number))
-        assert store.latest_round() == round_number
+        _expect(store.latest_round() == round_number, f"latest_round is not {round_number}")
     # A client put never advances the global round.
     store.put(_random_record(rng, 0, 9))
-    assert store.latest_round() == 3, "client records must not affect latest_round"
-    assert store.get(global_key(3)).key == global_key(3)
+    _expect(store.latest_round() == 3, "client records must not affect latest_round")
+    _expect(store.get(global_key(3)).key == global_key(3), "global of round 3 has another key")
 
 
 def _check_byte_fidelity(store: ModelStore, rng: random.Random, records: int = 1000) -> None:
@@ -110,7 +117,7 @@ def _check_byte_fidelity(store: ModelStore, rng: random.Random, records: int = 1
         stored[record.key] = record.payload
     for key, payload in stored.items():
         got = store.get(key)
-        assert got.payload == payload, f"payload mismatch at {key}"
+        _expect(got.payload == payload, f"payload mismatch at {key}")
 
 
 def _check_concurrent_writers(store: ModelStore, rng: random.Random, writers: int = 8) -> None:
@@ -142,7 +149,9 @@ def _check_concurrent_writers(store: ModelStore, rng: random.Random, writers: in
         raise AssertionError(f"concurrent put failed: {errors[0]!r}")
     for round_number in range(1, per_writer + 1):
         got = store.fetch_round(round_number, writers)
-        assert len(got) == writers, f"round {round_number} has {len(got)} of {writers} records"
+        _expect(
+            len(got) == writers, f"round {round_number} has {len(got)} of {writers} records"
+        )
 
     # Same-key race: exactly one writer may win.
     contested = ModelRecord(key=StoreKey(0, 500, 0), payload=b"contested", stored_at=1)
@@ -161,8 +170,8 @@ def _check_concurrent_writers(store: ModelStore, rng: random.Random, writers: in
         t.start()
     for t in racers:
         t.join()
-    assert len(wins) == 1, f"{len(wins)} writers claimed the same key"
-    assert len(losses) == writers - 1
+    _expect(len(wins) == 1, f"{len(wins)} writers claimed the same key")
+    _expect(len(losses) == writers - 1, f"{len(losses)} writers lost the same key")
 
 
 def _check_durability(reopen: Callable, store: ModelStore, rng: random.Random) -> None:
@@ -173,8 +182,8 @@ def _check_durability(reopen: Callable, store: ModelStore, rng: random.Random) -
     store.close()
     with reopen() as again:
         got = again.get(record.key)
-        assert got.payload == record.payload, "payload changed across reopen"
-        assert again.latest_round() == 1, "global lost across reopen"
+        _expect(got.payload == record.payload, "payload changed across reopen")
+        _expect(again.latest_round() == 1, "global lost across reopen")
 
 
 # Seeds the random records of every property, so a failure reproduces.
@@ -214,3 +223,19 @@ def run_suite(
             except Exception as exc:  # any leak is a conformance failure
                 results.append(PropertyResult(name, False, f"{type(exc).__name__}: {exc}"))
     return results
+
+
+def check_backend(cfg: BackendConfig) -> list[PropertyResult]:
+    """Run every property against ``cfg``'s backend, each in a ``fresh_namespace``.
+
+    Disk kinds also check durability by reopening the last namespace. Any
+    number of runs may share one root.
+    """
+    namespaces: list[BackendConfig] = []
+
+    def factory() -> ModelStore:
+        namespaces.append(fresh_namespace(cfg, "conformance"))
+        return open_backend(namespaces[-1])
+
+    durable = cfg.kind in DISK_BACKENDS
+    return run_suite(factory, reopen=(lambda: open_backend(namespaces[-1])) if durable else None)

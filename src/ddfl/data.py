@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -207,12 +208,6 @@ def partition(data: Dataset, n_clients: int) -> list[Dataset]:
     return shards
 
 
-def _read_be_u32(blob: bytes, offset: int, path: str) -> int:
-    if len(blob) < offset + 4:
-        raise FormatError(f"{path}: truncated at byte {len(blob)}, needed u32 at offset {offset}")
-    return struct.unpack_from(">I", blob, offset)[0]
-
-
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an MNIST-family IDX image/label file pair.
 
@@ -222,52 +217,46 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(*_read_idx(images_path, labels_path))
 
 
+def _read_idx_file(path, magic: int) -> np.ndarray:
+    """The uint8 array an IDX file at ``path`` holds, shaped as its header says.
+
+    ``magic`` is the file's expected first u32; its low byte is the number
+    of big-endian u32 dimensions that follow it.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    ndim = magic & 0xFF
+    header = 4 * (1 + ndim)
+    found = int.from_bytes(blob[:4], "big")
+    if len(blob) >= 4 and found != magic:
+        raise FormatError(f"{path}: bad magic 0x{found:08x} at byte 0, expected 0x{magic:08x}")
+    if len(blob) < header:
+        raise FormatError(
+            f"{path}: truncated at byte {len(blob)}, needed u32 at offset {len(blob) // 4 * 4}"
+        )
+    shape = struct.unpack_from(f">{ndim}I", blob, 4)
+    size = header + math.prod(shape)
+    if len(blob) != size:
+        raise FormatError(
+            f"{path}: expected {size} bytes, got {len(blob)} "
+            f"(truncation detected at byte {min(len(blob), size)})"
+        )
+    return np.frombuffer(blob, dtype=np.uint8, offset=header).reshape(shape)
+
+
 def _read_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray, int]:
     """``load_idx``'s writable float32 features, labels and class count."""
-    with open(images_path, "rb") as fh:
-        img_blob = fh.read()
-    with open(labels_path, "rb") as fh:
-        lbl_blob = fh.read()
-
-    magic = _read_be_u32(img_blob, 0, str(images_path))
-    if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(
-            f"{images_path}: bad magic 0x{magic:08x} at byte 0, "
-            f"expected 0x{IDX_IMAGES_MAGIC:08x}"
-        )
-    n_images = _read_be_u32(img_blob, 4, str(images_path))
-    rows = _read_be_u32(img_blob, 8, str(images_path))
-    cols = _read_be_u32(img_blob, 12, str(images_path))
-    pixel_bytes = n_images * rows * cols
-    if len(img_blob) != 16 + pixel_bytes:
-        raise FormatError(
-            f"{images_path}: expected {16 + pixel_bytes} bytes, got {len(img_blob)} "
-            f"(truncation detected at byte {min(len(img_blob), 16 + pixel_bytes)})"
-        )
-
-    magic = _read_be_u32(lbl_blob, 0, str(labels_path))
-    if magic != IDX_LABELS_MAGIC:
-        raise FormatError(
-            f"{labels_path}: bad magic 0x{magic:08x} at byte 0, "
-            f"expected 0x{IDX_LABELS_MAGIC:08x}"
-        )
-    n_labels = _read_be_u32(lbl_blob, 4, str(labels_path))
-    if len(lbl_blob) != 8 + n_labels:
-        raise FormatError(
-            f"{labels_path}: expected {8 + n_labels} bytes, got {len(lbl_blob)} "
-            f"(truncation detected at byte {min(len(lbl_blob), 8 + n_labels)})"
-        )
-    if n_images != n_labels:
+    pixels = _read_idx_file(images_path, IDX_IMAGES_MAGIC)
+    labels = _read_idx_file(labels_path, IDX_LABELS_MAGIC).astype(np.int64)
+    n_images, rows, cols = pixels.shape
+    if n_images != len(labels):
         raise FormatError(
             f"image count {n_images} ({images_path}, byte 4) does not match "
-            f"label count {n_labels} ({labels_path}, byte 4)"
+            f"label count {len(labels)} ({labels_path}, byte 4)"
         )
-
-    pixels = np.frombuffer(img_blob, dtype=np.uint8, offset=16).reshape(n_images, rows * cols)
-    labels = np.frombuffer(lbl_blob, dtype=np.uint8, offset=8).astype(np.int64)
-    features = pixels.astype(np.float32)
+    features = pixels.reshape(n_images, rows * cols).astype(np.float32)
     np.divide(features, np.float32(255.0), out=features)
-    num_classes = max(2, int(labels.max()) + 1) if n_labels else 2
+    num_classes = max(2, int(labels.max()) + 1) if len(labels) else 2
     return features, labels, num_classes
 
 

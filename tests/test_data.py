@@ -174,12 +174,24 @@ def test_idx_bad_magic(tmp_path):
         load_idx(corrupted, labels)
 
 
-def test_idx_truncated(tmp_path):
-    images, labels = write_idx_pair(tmp_path, [7] * 4, [0, 1], rows=2, cols=1)
-    truncated = tmp_path / "short.idx"
-    truncated.write_bytes(images.read_bytes()[:-2])
+@pytest.mark.parametrize("which", ["images", "labels"])
+@pytest.mark.parametrize("keep", ["0", "3", "header-1", "all-2"])
+def test_idx_truncated(tmp_path, which, keep):
+    files = dict(zip(["images", "labels"], write_idx_pair(tmp_path, [7] * 4, [0, 1], 2, 1)))
+    blob = files[which].read_bytes()
+    header = 16 if which == "images" else 8
+    cut = {"0": 0, "3": 3, "header-1": header - 1, "all-2": len(blob) - 2}[keep]
+    files[which].write_bytes(blob[:cut])
     with pytest.raises(FormatError, match="byte"):
-        load_idx(truncated, labels)
+        load_idx(files["images"], files["labels"])
+
+
+def test_idx_zero_images(tmp_path):
+    images, labels = write_idx_pair(tmp_path, [], [], rows=4, cols=2)
+    data = load_idx(images, labels)
+    assert data.features.dtype == np.float32
+    assert data.features.shape == (0, 8)
+    assert len(data.labels) == 0
 
 
 def test_idx_header_shape(tmp_path):

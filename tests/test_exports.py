@@ -27,6 +27,18 @@ def test_no_module_imports_another_modules_private_names():
     assert not found, found
 
 
+def test_no_module_holds_an_assert_statement():
+    # python -O strips assert statements, so a check written as one vanishes.
+    package = Path(ddfl.__file__).parent
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
+
+
 def test_readme_quick_start_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
     assert len(blocks) == 1, f"expected one python block in README, found {len(blocks)}"

@@ -1,16 +1,21 @@
 import os
 import shutil
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ddfl
 import ddfl.backends.filesystem as fs_mod
 from ddfl.backends import DISK_BACKENDS, BackendConfig, BackendKind, open_backend
 from ddfl.backends.filesystem import FilesystemStore, encode_record
 from ddfl.backends.memory import MemoryStore
 from ddfl.backends.queue import QueueStore
 from ddfl.backends.relational import RelationalStore
-from ddfl.conformance import run_suite
+from ddfl.cli import EXIT_OK, main
+from ddfl.conformance import check_backend, run_suite
 from ddfl.errors import (
     BackendUnavailableError,
     CorruptRecordError,
@@ -43,29 +48,59 @@ def global_record(round_number, payload=b"global"):
 # --- conformance: identical suite for every backend -------------------------
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
-def test_conformance_suite(kind, tmp_path):
-    counter = [0]
+def test_conformance_suite(kind, tmp_path, capsys):
+    # A second run over the same root must find fresh namespaces, not the first run's.
+    for _ in range(2):
+        results = check_backend(make_config(kind, tmp_path))
+        failures = [r for r in results if not r.passed]
+        assert not failures, failures
+        assert {r.name for r in results} >= {
+            "roundtrip",
+            "duplicate_rejection",
+            "sorted_fetch_round",
+            "latest_round",
+            "byte_fidelity",
+            "concurrent_writers",
+        }
+        assert ("durability_reopen" in {r.name for r in results}) == (kind in DISK_BACKENDS)
+    # A kind listed twice runs twice in `ddfl conformance`, over one temporary root.
+    assert main(["conformance", "--backend", f"{kind.value},{kind.value}"]) == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
 
-    def reopen():  # the most recent factory store's namespace
-        return open_backend(make_config(kind, tmp_path, namespace=f"conf-{counter[0]}"))
 
-    def factory():
-        counter[0] += 1
-        return reopen()
+# Stores that lie on get, fetch_round and latest_round; prints the failing properties.
+LYING_STORE_SUITE = """
+import dataclasses
+from ddfl.backends.memory import MemoryStore
+from ddfl.conformance import run_suite
 
-    durable = kind in DISK_BACKENDS
-    results = run_suite(factory, reopen=reopen if durable else None)
-    failures = [r for r in results if not r.passed]
-    assert not failures, failures
-    assert {r.name for r in results} >= {
-        "roundtrip",
-        "duplicate_rejection",
-        "sorted_fetch_round",
-        "latest_round",
-        "byte_fidelity",
-        "concurrent_writers",
-    }
-    assert ("durability_reopen" in {r.name for r in results}) == durable
+class LyingStore(MemoryStore):
+    def get(self, key):
+        return dataclasses.replace(super().get(key), payload=b"other bytes")
+
+    def fetch_round(self, round_number, expected_clients):
+        return []
+
+    def latest_round(self):
+        return 0
+
+print(sorted(r.name for r in run_suite(lambda: LyingStore("lying")) if not r.passed))
+"""
+
+
+def test_conformance_fails_a_lying_store_under_python_O(capsys):
+    # With assert statements stripped, the suite must fail the same properties.
+    exec(LYING_STORE_SUITE, {})
+    failed = capsys.readouterr().out
+    assert "roundtrip" in failed
+    package_root = str(Path(ddfl.__file__).parents[1])
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-c", LYING_STORE_SUITE],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert optimized.stdout == failed
 
 
 def test_conformance_fails_durability_of_memory_store():
