@@ -2,7 +2,8 @@
 
 Subcommands: run, bench-query, bench-comm, bench-scale, conformance.
 Exit codes are a stable contract: 0 success, 2 configuration error,
-3 runtime error. A bench command exits 3 only when no backend measured.
+3 runtime error, a file that cannot be read or written among them. A bench
+command exits 3 only when no backend measured.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .config import (
     group_key_from,
     parse_config_file,
     parse_dataset_spec,
+    read,
 )
 from .data import SyntheticSpec
 from .errors import ConfigError, DDFLError
@@ -98,7 +100,7 @@ def cmd_bench_query(args) -> int:
 
 def cmd_bench_comm(args) -> int:
     values = parse_config_file(args.config)
-    spec = _synthetic(parse_dataset_spec(values.get("dataset", "synthetic"), values))
+    spec = _synthetic(parse_dataset_spec(read(values, "dataset"), values))
     report = bench_comm(_backend_configs(values), spec.d, spec.k, group_key_from(values))
     return _emit_report(report, args)
 
@@ -202,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DDFLError as exc:
+    except (DDFLError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

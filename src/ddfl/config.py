@@ -3,13 +3,11 @@
 The key set is closed: an unknown key is an error naming the key and line
 number, as is a key set twice, and commands report missing required keys
 by name. ``KEYS`` is the one table of keys, and ``read`` the one reader of
-a value. The DDFL_ROOT environment variable supplies a default root_path
-when the file does not set one.
+a value.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
@@ -18,7 +16,7 @@ from .backends import BackendConfig, BackendKind
 from .crypto import FernetKey, generate_key
 from .data import IdxSpec, SyntheticSpec
 from .errors import ConfigError, ValidationError
-from .orchestrator import Aggregation, ExperimentConfig
+from .orchestrator import ExperimentConfig
 from .training import TrainConfig
 
 _REQUIRED = object()
@@ -31,10 +29,6 @@ _KINDS = {
     "number": ("a number", float),
     "boolean": ("a boolean", lambda raw: _BOOLEANS[raw.lower()]),
     "path": ("a path", Path),
-    "aggregation": (
-        "one of " + ", ".join(a.value for a in Aggregation),
-        lambda raw: Aggregation(raw.lower()),
-    ),
     "text": ("text", str),
 }
 
@@ -60,7 +54,6 @@ KEYS = {
     "backend": _Key("text"),
     "root_path": _Key("path", None),
     "fsync": _Key("boolean", _BACKEND["fsync"]),
-    "aggregation": _Key("aggregation", _EXPERIMENT["aggregation"]),
     "dataset": _Key("text"),
     "idx_images": _Key("path"),
     "idx_labels": _Key("path"),
@@ -75,7 +68,7 @@ def parse_config_file(path) -> dict[str, str]:
     """Parse a config file into a raw key/value map of the keys it sets."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values = {}
     lines = {}
@@ -122,8 +115,6 @@ def read(values: dict[str, str], key: str):
 def parse_dataset_spec(value: str, values: dict[str, str]) -> SyntheticSpec | IdxSpec:
     if value == "idx":
         return IdxSpec(images=read(values, "idx_images"), labels=read(values, "idx_labels"))
-    if value == "synthetic":
-        return SyntheticSpec(n=2000, d=8, k=4)
     if value.startswith("synthetic:"):
         dims = value.removeprefix("synthetic:").split("x")
         if len(dims) != 3:
@@ -138,7 +129,7 @@ def parse_dataset_spec(value: str, values: dict[str, str]) -> SyntheticSpec | Id
             return SyntheticSpec(n=n, d=d, k=k)
         except ValidationError as exc:
             raise ConfigError(f"key 'dataset': {exc}") from exc
-    raise ConfigError(f"key 'dataset' must be 'synthetic', 'synthetic:<n>x<d>x<k>', or 'idx', got {value!r}")
+    raise ConfigError(f"key 'dataset' must be 'synthetic:<n>x<d>x<k>' or 'idx', got {value!r}")
 
 
 def backend_kinds(values: dict[str, str]) -> list[BackendKind]:
@@ -156,7 +147,7 @@ def backend_config(values: dict[str, str], kind: BackendKind) -> BackendConfig:
     try:
         return BackendConfig(
             kind=kind,
-            root_path=read(values, "root_path") or os.environ.get("DDFL_ROOT") or None,
+            root_path=read(values, "root_path"),
             namespace=read(values, "namespace"),
             fsync=read(values, "fsync"),
         )
@@ -204,7 +195,6 @@ def experiment_config(values: dict[str, str]) -> ExperimentConfig:
             group_key=group_key_from(values),
             dataset=dataset,
             seed=seed,
-            aggregation=read(values, "aggregation"),
             barrier_timeout_ms=read(values, "barrier_timeout_ms"),
         )
     except ValidationError as exc:

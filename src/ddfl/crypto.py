@@ -87,13 +87,18 @@ class FernetKey:
 
     @classmethod
     def from_encoded(cls, encoded: str | bytes) -> "FernetKey":
-        if isinstance(encoded, str):
-            encoded = encoded.encode("ascii")
         try:
+            if isinstance(encoded, str):
+                encoded = encoded.encode("ascii")
             raw = base64.urlsafe_b64decode(encoded)
         except (binascii.Error, ValueError) as exc:
             raise ValidationError(f"key is not url-safe base64: {exc}") from exc
-        return cls.from_bytes(raw)
+        key = cls.from_bytes(raw)
+        # One spelling per key, as for tokens: the decoder also takes
+        # trailing junk and the standard alphabet's '+' and '/'.
+        if key.encoded().encode("ascii") != encoded:
+            raise ValidationError("key is not in canonical url-safe base64")
+        return key
 
     def encoded(self) -> str:
         return base64.urlsafe_b64encode(self.signing_key + self.encryption_key).decode("ascii")

@@ -36,8 +36,9 @@ log = logging.getLogger(__name__)
 POLL_INTERVAL_MS = 5.0
 
 
+# Clients are always weighted by their sample counts. The enum and
+# ExperimentConfig.aggregation stay only because the round benchmark passes them.
 class Aggregation(enum.Enum):
-    UNIFORM = "uniform"
     SAMPLE_WEIGHTED = "sample_weighted"
 
 
@@ -194,8 +195,8 @@ def run_round(
 ) -> RoundOutcome:
     """Master's side of one round: barrier, aggregate, evaluate, publish.
 
-    ``shard_sizes[c]`` is client c's sample count, its weight under
-    sample-weighted aggregation. ``round_started`` is the
+    ``shard_sizes[c]`` is client c's sample count, its weight in the
+    aggregate. ``round_started`` is the
     ``time.perf_counter()`` reading at which the round's clients began;
     the round's wall time, reported and stored with the new global, runs
     from it (default: the call to this function) to the start of the
@@ -207,10 +208,7 @@ def run_round(
     records = _await_round(store, round_number, cfg.n_clients, cfg.barrier_timeout_ms)
     previous = store.get(global_key(round_number - 1))
     models = [model_of(rec, cfg.group_key) for rec in records]
-    if cfg.aggregation is Aggregation.SAMPLE_WEIGHTED:
-        weights = [float(shard_sizes[rec.key.client_id]) for rec in records]
-    else:
-        weights = [1.0] * len(models)
+    weights = [float(shard_sizes[rec.key.client_id]) for rec in records]
     new_global = aggregate(models, weights)
     result = evaluate(new_global, test_set)
     round_wall_ms = (time.perf_counter() - start) * 1000.0

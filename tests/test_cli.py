@@ -58,6 +58,29 @@ def test_run_idx_dataset(tmp_path, capsys):
     assert [row[0] for row in rows[1:]] == ["1", "2", "3"]
 
 
+@pytest.mark.parametrize("missing", ["images", "labels"])
+def test_run_missing_idx_file_exit_3(missing, tmp_path, capsys):
+    images, labels = write_idx_pair(tmp_path, list(range(64)), [i % 2 for i in range(16)], 2, 2)
+    paths = {"images": images, "labels": labels}
+    paths[missing] = tmp_path / "absent.idx"
+    text = BASE.replace("dataset = synthetic:200x4x2", "dataset = idx")
+    text += f"idx_images = {paths['images']}\nidx_labels = {paths['labels']}\n"
+    assert main(["run", write_config(tmp_path, text)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "error: FileNotFoundError" in err and "absent.idx" in err
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["bench-query", "--records", "2"]], ids=["run", "bench-query"]
+)
+def test_out_in_missing_directory_exit_3(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    cfg = write_config(tmp_path, BASE)
+    assert main([command[0], cfg, *command[1:], "--out", str(out)]) == EXIT_RUNTIME
+    assert "error: FileNotFoundError" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_run_config_error_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.replace("rounds = 3", "rounds = 0"))
     assert main(["run", cfg]) == EXIT_CONFIG
@@ -165,6 +188,12 @@ def test_bench_comm_no_backend_measured_exit_3(tmp_path, capsys):
     assert main(["bench-comm", write_config(tmp_path, text)]) == EXIT_RUNTIME
     values = {row["metric"]: row["value"] for row in csv_rows(capsys.readouterr().out)}
     assert values["comm_time"] == "failed:BackendUnavailableError"
+
+
+def test_bench_comm_without_dataset_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE.replace("dataset = synthetic:200x4x2\n", ""))
+    assert main(["bench-comm", cfg]) == EXIT_CONFIG
+    assert "missing required key 'dataset'" in capsys.readouterr().err
 
 
 def test_bench_scale_idx_dataset_exit_2(tmp_path, capsys):

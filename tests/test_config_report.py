@@ -12,8 +12,8 @@ from ddfl.config import (
     parse_config_file,
     parse_dataset_spec,
 )
-from ddfl.crypto import generate_key
-from ddfl.errors import ConfigError
+from ddfl.crypto import FernetKey, generate_key
+from ddfl.errors import ConfigError, ValidationError
 from ddfl.orchestrator import Aggregation, ExperimentConfig, IdxSpec, SyntheticSpec
 from ddfl.report import CSV_HEADER, MetricsReport
 from ddfl.training import TrainConfig
@@ -53,6 +53,14 @@ def test_unknown_key_names_key_and_line(tmp_path):
     with pytest.raises(ConfigError, match=r"mystery"):
         parse_config_file(path)
     with pytest.raises(ConfigError, match=r":2"):
+        parse_config_file(path)
+
+
+# Clients are always weighted by their sample counts, so the key is gone.
+@pytest.mark.parametrize("rule", ["uniform", "sample_weighted"])
+def test_aggregation_is_an_unknown_key(rule, tmp_path):
+    path = write_config(tmp_path, f"backend = memory\naggregation = {rule}\n")
+    with pytest.raises(ConfigError, match=r":2: unknown key 'aggregation'"):
         parse_config_file(path)
 
 
@@ -101,8 +109,7 @@ def test_integer_keys_checked_by_name(key, tmp_path):
             experiment_config(values)
 
 
-def test_omitted_keys_get_dataclass_defaults(tmp_path, monkeypatch):
-    monkeypatch.delenv("DDFL_ROOT", raising=False)
+def test_omitted_keys_get_dataclass_defaults(tmp_path):
     text = "n_clients = 2\nrounds = 3\nbackend = memory\ndataset = synthetic:200x4x2\n"
     cfg = experiment_config(parse_config_file(write_config(tmp_path, text)))
     defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
@@ -125,18 +132,20 @@ def test_backend_selection():
 
 
 def test_dataset_spec_grammar():
-    assert parse_dataset_spec("synthetic", {}) == SyntheticSpec(n=2000, d=8, k=4)
     assert parse_dataset_spec("synthetic:10x3x2", {}) == SyntheticSpec(n=10, d=3, k=2)
     spec = parse_dataset_spec(
         "idx", {"idx_images": "img.idx", "idx_labels": "lbl.idx"}
     )
     assert isinstance(spec, IdxSpec)
-    with pytest.raises(ConfigError):
-        parse_dataset_spec("synthetic:10x3", {})
-    with pytest.raises(ConfigError):
-        parse_dataset_spec("csv", {})
     with pytest.raises(ConfigError, match="idx_images"):
         parse_dataset_spec("idx", {})
+
+
+# The bare "synthetic" has no dimensions; every spec spells them out.
+@pytest.mark.parametrize("spelling", ["synthetic", "synthetic:10x3", "synthetic:ax3x2", "csv"])
+def test_bad_dataset_spelling_named(spelling):
+    with pytest.raises(ConfigError, match="dataset"):
+        parse_dataset_spec(spelling, {})
 
 
 def test_group_key_parsing():
@@ -148,38 +157,45 @@ def test_group_key_parsing():
         group_key_from({"group_key": "tooshort"})
 
 
+# 0xfb 0xff bytes encode to "-" and "_", so the standard alphabet's
+# spelling of this key differs from the url-safe one.
+CANONICAL = FernetKey.from_bytes(b"\xfb\xff" * 16).encoded()
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    [
+        CANONICAL + "!!",
+        CANONICAL.replace("-", "+").replace("_", "/"),
+        " " + CANONICAL,
+        CANONICAL.replace("=", "") + "==",
+        "\u00e9" + CANONICAL[1:],
+    ],
+    ids=["trailing-junk", "standard-alphabet", "leading-space", "extra-padding", "non-ascii"],
+)
+def test_group_key_only_in_canonical_spelling(spelling):
+    assert spelling != CANONICAL
+    with pytest.raises(ValidationError):
+        FernetKey.from_encoded(spelling)
+    with pytest.raises(ConfigError, match="group_key"):
+        group_key_from({"group_key": spelling})
+
+
 def test_bad_line_shape(tmp_path):
     with pytest.raises(ConfigError, match=":1"):
         parse_config_file(write_config(tmp_path, "just some words\n"))
 
 
-def test_ddfl_root_env_supplies_root_path(tmp_path, monkeypatch):
-    monkeypatch.setenv("DDFL_ROOT", str(tmp_path))
-    values = parse_config_file(
-        write_config(tmp_path, GOOD.replace("backend = memory", "backend = filesystem"))
-    )
-    cfg = experiment_config(values)
-    assert cfg.backend.root_path == tmp_path
-
-
-def test_explicit_root_path_beats_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("DDFL_ROOT", "/somewhere/else")
-    explicit = tmp_path / "store"
-    explicit.mkdir()
-    values = parse_config_file(
-        write_config(
-            tmp_path,
-            GOOD.replace("backend = memory", "backend = filesystem")
-            + f"root_path = {explicit}\n",
-        )
-    )
-    cfg = experiment_config(values)
-    assert cfg.backend.root_path == explicit
-
-
 def test_missing_file():
     with pytest.raises(ConfigError):
         parse_config_file("/nonexistent/exp.cfg")
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"backend = memory\nn_clients = 2\xff\n")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        parse_config_file(path)
 
 
 # --- metrics report ------------------------------------------------------------

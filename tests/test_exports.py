@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import ddfl
+from ddfl.config import experiment_config, parse_config_file
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,3 +44,12 @@ def test_readme_quick_start_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
     assert len(blocks) == 1, f"expected one python block in README, found {len(blocks)}"
     exec(compile(blocks[0], f"{README}:quick start", "exec"), {})
+
+
+def test_readme_config_example_parses(tmp_path):
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) == 1, f"expected one ini block in README, found {len(blocks)}"
+    path = tmp_path / "readme.cfg"
+    path.write_text(blocks[0], encoding="utf-8")
+    cfg = experiment_config(parse_config_file(path))
+    assert cfg.n_clients == 8 and cfg.rounds == 10

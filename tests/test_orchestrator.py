@@ -18,7 +18,6 @@ from ddfl.errors import (
     ValidationError,
 )
 from ddfl.orchestrator import (
-    Aggregation,
     ExperimentConfig,
     IdxSpec,
     RoundOutcome,
@@ -389,23 +388,6 @@ def test_orchestrator_calls_traced_functions_in_the_shape_the_tracer_reads(monke
     for r in (1, 2):
         assert per_round[r]["encrypt"] == cfg.n_clients + 1
         assert per_round[r]["decrypt"] == 2 * cfg.n_clients
-
-
-def test_uniform_vs_sample_weighted_differ_on_uneven_shards():
-    # 3 clients over 100 samples -> shard sizes (34, 33, 33).
-    base = dict(
-        n_clients=3,
-        rounds=1,
-        train=TrainConfig(0.2, 2, 8, seed=2),
-        dataset=SyntheticSpec(n=100, d=4, k=2, test_n=60),
-        seed=3,
-    )
-    uniform = memory_cfg(aggregation=Aggregation.UNIFORM, **base)
-    weighted = memory_cfg(aggregation=Aggregation.SAMPLE_WEIGHTED, **base)
-    # Both run; weighting may or may not move accuracy, but the protocol
-    # must accept both modes.
-    run_experiment(uniform)
-    run_experiment(weighted)
 
 
 def test_stored_payloads_reject_wrong_key():
