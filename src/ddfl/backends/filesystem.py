@@ -1,7 +1,7 @@
 """Filesystem backend: one file per record, published by atomic link.
 
-Record files live at <root>/<namespace>/<client>/<round>/<iteration>.rec
-and contain:
+Record files live at <root>/<namespace>/<round>/<client>.rec, where a
+round's global model is <client> = "global", and contain:
 
     header  (16 bytes): magic "DDR1" | payload length u64 LE | flags u32 LE
     payload (length as above)
@@ -12,12 +12,13 @@ fields are written as zero. Writes go to a temp file in the same
 directory and are published with os.link, which is atomic and fails on an
 existing target, giving crash safety and duplicate detection in one step.
 With fsync on, the record file is synced before the link, and every
-directory that may have gained an entry (round, client, namespace) after it.
+directory that may have gained an entry (round, namespace) after it.
 
 Every OSError is a BackendUnavailableError, except a missing record on
 ``get`` (NotFoundError) and an existing one on ``link`` (DuplicateKeyError).
-So is a missing root at open, which makes only the namespace directory, and
-a namespace path that is not a directory, at open or later.
+So is a missing root at open, which makes only the namespace directory, a
+namespace path that is not a directory, at open or later, and a namespace
+holding a "global" directory, the mark of the older <client>/<round>/ layout.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ def _read_record(path: Path, key: StoreKey) -> ModelRecord:
 def _numbered_entries(directory: Path, suffix: str = "") -> Iterator[tuple[int, Path]]:
     """Yield (n, entry) for each entry of ``directory`` named ``str(n) + suffix``.
 
-    These are the names ``put`` writes; any other name (``global``, ``007``,
-    ``abc.rec``, a temp file) is skipped, and a missing directory is empty.
+    These are the names ``put`` writes; any other name (``global.rec``,
+    ``007``, ``abc.rec``, a temp file) is skipped, and a missing directory is empty.
     """
     if not directory.is_dir():
         return
@@ -123,9 +124,11 @@ class FilesystemStore(ModelStore):
                 _fsync_dir(self.root)
         except OSError as exc:
             raise BackendUnavailableError(f"namespace {namespace!r}: {exc}") from exc
+        if (self._ns_dir / "global").exists():
+            raise BackendUnavailableError(f"{self._ns_dir} holds records in an older layout")
 
     def _record_path(self, key: StoreKey) -> Path:
-        return self._ns_dir / key.client_label / str(key.round) / f"{key.iteration}.rec"
+        return self._ns_dir / str(key.round) / f"{key.client_label}.rec"
 
     @contextlib.contextmanager
     def _available(self):
@@ -143,7 +146,6 @@ class FilesystemStore(ModelStore):
         header, footer = _frame(record)
         with self._available():
             # No parents=True: a namespace that vanishes now must stay missing.
-            final.parent.parent.mkdir(exist_ok=True)
             final.parent.mkdir(exist_ok=True)
             try:
                 with open(tmp, "wb") as fh:
@@ -162,7 +164,7 @@ class FilesystemStore(ModelStore):
                         f"{record.key} already stored in {self.namespace!r}"
                     ) from None
                 if self.fsync:
-                    for directory in (final.parent, final.parent.parent, self._ns_dir):
+                    for directory in (final.parent, self._ns_dir):
                         _fsync_dir(directory)
             finally:
                 tmp.unlink(missing_ok=True)
@@ -179,16 +181,12 @@ class FilesystemStore(ModelStore):
         check_fetch_round_args(round_number)
         records = []
         with self._available():
-            for client_id, client_dir in _numbered_entries(self._ns_dir):
-                for iteration, path in _numbered_entries(client_dir / str(round_number), ".rec"):
-                    key = StoreKey(client_id, round_number, iteration)
-                    records.append(_read_record(path, key))
-        records.sort(key=lambda rec: (rec.key.client_id, rec.key.iteration))
+            for client_id, path in _numbered_entries(self._ns_dir / str(round_number), ".rec"):
+                records.append(_read_record(path, StoreKey(client_id, round_number)))
+        records.sort(key=lambda rec: rec.key.client_id)
         return records
 
     def latest_round(self) -> int:
         with self._available():
-            rounds = _numbered_entries(self._ns_dir / "global")
-            return max(
-                (n for n, path in rounds if any(_numbered_entries(path, ".rec"))), default=0
-            )
+            rounds = _numbered_entries(self._ns_dir)
+            return max((n for n, path in rounds if (path / "global.rec").is_file()), default=0)

@@ -35,7 +35,7 @@ class MemoryStore(ModelStore):
                 for key, rec in self._records.items()
                 if key.round == round_number and key.client_id >= 0
             ]
-        return sorted(hits, key=lambda rec: (rec.key.client_id, rec.key.iteration))
+        return sorted(hits, key=lambda rec: rec.key.client_id)
 
     def latest_round(self) -> int:
         with self._lock:

@@ -2,7 +2,8 @@
 
 One database file per root directory; the schema is a single table whose
 columns and primary key mirror the record addressing exactly, so several
-namespaces can share the file.
+namespaces can share the file. The key leads with the round, so a round's
+records are one index range. A table with other columns fails at open.
 """
 
 from __future__ import annotations
@@ -31,14 +32,14 @@ CREATE TABLE IF NOT EXISTS models (
     namespace  TEXT    NOT NULL,
     client_id  INTEGER NOT NULL,
     "round"    INTEGER NOT NULL,
-    iteration  INTEGER NOT NULL,
     payload    BLOB    NOT NULL,
     accuracy   REAL,
     elapsed_ms REAL,
     stored_at  INTEGER NOT NULL,
-    PRIMARY KEY (namespace, client_id, "round", iteration)
+    PRIMARY KEY (namespace, "round", client_id)
 )
 """
+_COLUMNS = ["namespace", "client_id", "round", "payload", "accuracy", "elapsed_ms", "stored_at"]
 
 
 class RelationalStore(ModelStore):
@@ -52,10 +53,14 @@ class RelationalStore(ModelStore):
             conn.execute(f"PRAGMA synchronous = {'FULL' if fsync else 'OFF'}")
             conn.execute(_SCHEMA)
             conn.commit()
+            columns = [row[1] for row in conn.execute("PRAGMA table_info(models)")]
         except sqlite3.Error as exc:
             if conn is not None:
                 conn.close()
             raise BackendUnavailableError(f"cannot open {self.path}: {exc}") from exc
+        if columns != _COLUMNS:
+            conn.close()
+            raise BackendUnavailableError(f"{self.path}: models table has columns {columns}")
         self._conn = conn
 
     def close(self) -> None:
@@ -63,9 +68,9 @@ class RelationalStore(ModelStore):
             self._conn.close()
 
     def _row_to_record(self, row) -> ModelRecord:
-        client_id, round_number, iteration, payload, accuracy, elapsed_ms, stored_at = row
+        client_id, round_number, payload, accuracy, elapsed_ms, stored_at = row
         return ModelRecord(
-            key=StoreKey(client_id, round_number, iteration),
+            key=StoreKey(client_id, round_number),
             payload=bytes(payload),
             accuracy=accuracy,
             elapsed_ms=elapsed_ms,
@@ -76,14 +81,13 @@ class RelationalStore(ModelStore):
         with self._lock:
             try:
                 self._conn.execute(
-                    'INSERT INTO models (namespace, client_id, "round", iteration,'
+                    'INSERT INTO models (namespace, client_id, "round",'
                     " payload, accuracy, elapsed_ms, stored_at)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                    " VALUES (?, ?, ?, ?, ?, ?, ?)",
                     (
                         self.namespace,
                         record.key.client_id,
                         record.key.round,
-                        record.key.iteration,
                         record.payload,
                         record.accuracy,
                         record.elapsed_ms,
@@ -108,10 +112,9 @@ class RelationalStore(ModelStore):
 
     def get(self, key: StoreKey) -> ModelRecord:
         rows = self._query(
-            'SELECT client_id, "round", iteration, payload, accuracy, elapsed_ms,'
-            " stored_at FROM models WHERE namespace = ? AND client_id = ?"
-            ' AND "round" = ? AND iteration = ?',
-            (self.namespace, key.client_id, key.round, key.iteration),
+            'SELECT client_id, "round", payload, accuracy, elapsed_ms, stored_at'
+            ' FROM models WHERE namespace = ? AND "round" = ? AND client_id = ?',
+            (self.namespace, key.round, key.client_id),
         )
         if not rows:
             raise NotFoundError(f"{key} not in {self.namespace!r}")
@@ -120,16 +123,12 @@ class RelationalStore(ModelStore):
     def fetch_round(self, round_number: int, expected_clients: int) -> list[ModelRecord]:
         check_fetch_round_args(round_number)
         rows = self._query(
-            'SELECT client_id, "round", iteration, payload, accuracy, elapsed_ms,'
-            ' stored_at FROM models WHERE namespace = ? AND "round" = ?'
-            " AND client_id >= 0",
+            'SELECT client_id, "round", payload, accuracy, elapsed_ms, stored_at'
+            ' FROM models WHERE namespace = ? AND "round" = ? AND client_id >= 0'
+            " ORDER BY client_id",
             (self.namespace, round_number),
         )
-        # Sorted here, not by ORDER BY: sqlite would copy every payload into
-        # a temporary sorter.
-        records = [self._row_to_record(row) for row in rows]
-        records.sort(key=lambda rec: (rec.key.client_id, rec.key.iteration))
-        return records
+        return [self._row_to_record(row) for row in rows]
 
     def latest_round(self) -> int:
         ((latest,),) = self._query(

@@ -71,7 +71,7 @@ def bench_query(
 
     def measure(cfg):
         with open_backend(fresh_namespace(cfg, "query")) as store:
-            keys = [StoreKey(i, 1, 0) for i in range(records)]
+            keys = [StoreKey(i, 1) for i in range(records)]
             for key in keys:
                 store.put(ModelRecord(key=key, payload=os.urandom(payload_bytes), stored_at=1))
             samples = [_median_s(functools.partial(store.get, key)) * 1e3 for key in keys]
@@ -111,7 +111,7 @@ def bench_comm(
         model_of(store.get(key), group_key)
 
     def measure(cfg):
-        keys = (StoreKey(0, rep, 0) for rep in itertools.count(1))
+        keys = (StoreKey(0, rep) for rep in itertools.count(1))
         with open_backend(fresh_namespace(cfg, "comm")) as store:
             return [_median_s(lambda: move_model(store, next(keys))) * 1e3]
 

@@ -35,7 +35,7 @@ def _expect(condition: bool, message: str) -> None:
 def _random_record(rng: random.Random, client_id: int, round_number: int) -> ModelRecord:
     payload = rng.randbytes(rng.randint(1, 2048))
     return ModelRecord(
-        key=StoreKey(client_id, round_number, 0),
+        key=StoreKey(client_id, round_number),
         payload=payload,
         accuracy=rng.random() if rng.random() < 0.5 else None,
         elapsed_ms=rng.random() * 1e4 if rng.random() < 0.5 else None,
@@ -73,14 +73,14 @@ def _check_duplicate_rejection(store: ModelStore, rng: random.Random) -> None:
 
 
 def _check_not_found(store: ModelStore, rng: random.Random) -> None:
-    for key in (StoreKey(5, 7, 0), global_key(99)):
+    for key in (StoreKey(5, 7), global_key(99)):
         try:
             store.get(key)
         except NotFoundError:
             continue
         raise AssertionError(f"get on never-written {key} did not raise NotFoundError")
     try:
-        StoreKey(1, 0, 0)
+        StoreKey(1, 0)
     except ValidationError:
         pass
     else:
@@ -88,7 +88,7 @@ def _check_not_found(store: ModelStore, rng: random.Random) -> None:
 
 
 def _check_sorted_fetch_round(store: ModelStore, rng: random.Random) -> None:
-    for client_id in (2, 0, 1):
+    for client_id in (2, GLOBAL_CLIENT_ID, 0, 1):
         store.put(_random_record(rng, client_id, 4))
     records = store.fetch_round(4, 3)
     ids = [rec.key.client_id for rec in records]
@@ -129,7 +129,7 @@ def _check_concurrent_writers(store: ModelStore, rng: random.Random, writers: in
             for round_number in range(1, per_writer + 1):
                 store.put(
                     ModelRecord(
-                        key=StoreKey(client_id, round_number, 0),
+                        key=StoreKey(client_id, round_number),
                         payload=bytes([client_id]) * 64 + round_number.to_bytes(4, "little"),
                         stored_at=1,
                     )
@@ -154,7 +154,7 @@ def _check_concurrent_writers(store: ModelStore, rng: random.Random, writers: in
         )
 
     # Same-key race: exactly one writer may win.
-    contested = ModelRecord(key=StoreKey(0, 500, 0), payload=b"contested", stored_at=1)
+    contested = ModelRecord(key=StoreKey(0, 500), payload=b"contested", stored_at=1)
     wins = []
     losses = []
 

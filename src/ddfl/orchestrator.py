@@ -68,11 +68,14 @@ class RoundOutcome:
     """Per-round metrics. ``round_wall_ms`` runs from the start of the round's
     first client to the start of the new global's publish, so it leaves out
     that publish's encrypt and ``put``. Byte counters follow the store
-    traffic exactly:
+    traffic, except for one token a round:
 
     bytes_written = sum of the N client token lengths + the new global token;
     bytes_read    = N downloads of the previous global token + the master's
-                    reads of the N client tokens. Barrier polls are not counted.
+                    reads of the N client tokens. Barrier polls are not
+                    counted, nor is the master's own read of the previous
+                    global, so the store serves one more global token a
+                    round than ``bytes_read`` reports.
     """
 
     round: int
@@ -151,30 +154,30 @@ def run_client_round(
     """One client's work for one round; returns the training time in ms.
 
     Fetches and decrypts the previous global, trains on the shard, then
-    encrypts and stores the local model at (client_id, round, 0).
+    encrypts and stores the local model at (client_id, round).
     """
     model = model_of(store.get(global_key(round_number - 1)), key)
     start = time.perf_counter()
     trained = local_train(model, shard, cfg)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    put_model(store, key, StoreKey(client_id, round_number, 0), trained, elapsed_ms=elapsed_ms)
+    put_model(store, key, StoreKey(client_id, round_number), trained, elapsed_ms=elapsed_ms)
     return elapsed_ms
 
 
 def _await_round(
     store: ModelStore, round_number: int, expected: int, timeout_ms: float
 ) -> list[ModelRecord]:
-    """The iteration-0 records of clients 0..expected-1, sorted by client id.
+    """The records of clients 0..expected-1, sorted by client id.
 
-    Records of other clients or iterations are ignored, so a stray or extra
-    record can neither complete the barrier nor enter the aggregate.
+    Records of other clients are ignored, so a stray or extra record can
+    neither complete the barrier nor enter the aggregate.
     """
     deadline = time.monotonic() + timeout_ms / 1000.0
     while True:
         records = [
             rec
             for rec in store.fetch_round(round_number, expected)
-            if rec.key.iteration == 0 and rec.key.client_id < expected
+            if rec.key.client_id < expected
         ]
         if len(records) == expected:
             return records

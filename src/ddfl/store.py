@@ -2,8 +2,8 @@
 
 Records follow a four-column schema: round number, encrypted model
 payload, optional testing accuracy, and optional elapsed time. Every
-record is addressed by (client_id, round, iteration) within a namespace;
-the reserved client id -1 marks global models and renders as "global".
+record is addressed by (client_id, round) within a namespace; the
+reserved client id -1 marks global models and renders as "global".
 """
 
 from __future__ import annotations
@@ -25,13 +25,10 @@ def now_ms() -> int:
 class StoreKey:
     client_id: int
     round: int
-    iteration: int = 0
 
     def __post_init__(self):
         if self.client_id < GLOBAL_CLIENT_ID:
             raise ValidationError(f"client_id must be >= -1, got {self.client_id}")
-        if self.iteration < 0:
-            raise ValidationError(f"iteration must be >= 0, got {self.iteration}")
         # Client rounds start at 1. Round 0 is allowed only for the global
         # slot, which holds the master's initial model.
         min_round = 0 if self.client_id == GLOBAL_CLIENT_ID else 1
@@ -51,7 +48,7 @@ class StoreKey:
 
 
 def global_key(round_number: int) -> StoreKey:
-    return StoreKey(GLOBAL_CLIENT_ID, round_number, 0)
+    return StoreKey(GLOBAL_CLIENT_ID, round_number)
 
 
 @dataclass(frozen=True)

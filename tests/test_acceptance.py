@@ -179,19 +179,19 @@ def test_criterion_3_backend_conformance(tmp_path):
         fs_mod.os.link = crashing_link
         try:
             with pytest.raises(SimulatedCrash):
-                store.put(ModelRecord(key=StoreKey(0, 1, 0), payload=b"partial", stored_at=1))
+                store.put(ModelRecord(key=StoreKey(0, 1), payload=b"partial", stored_at=1))
         finally:
             fs_mod.os.link = real_link
         with pytest.raises(NotFoundError):
-            store.get(StoreKey(0, 1, 0))
+            store.get(StoreKey(0, 1))
 
         durable = FilesystemStore(fs_root, "durable")
         payload = os.urandom(2000)
-        durable.put(ModelRecord(key=StoreKey(1, 1, 0), payload=payload, stored_at=1))
-        durable.put(ModelRecord(key=StoreKey(-1, 1, 0), payload=b"g", stored_at=1))
+        durable.put(ModelRecord(key=StoreKey(1, 1), payload=payload, stored_at=1))
+        durable.put(ModelRecord(key=StoreKey(-1, 1), payload=b"g", stored_at=1))
         durable.close()
         reopened = FilesystemStore(fs_root, "durable")
-        assert reopened.get(StoreKey(1, 1, 0)).payload == payload
+        assert reopened.get(StoreKey(1, 1)).payload == payload
         assert reopened.latest_round() == 1
 
 

@@ -3,7 +3,9 @@ import re
 from pathlib import Path
 
 import ddfl
+from ddfl.backends.filesystem import FilesystemStore
 from ddfl.config import experiment_config, parse_config_file
+from ddfl.store import ModelRecord, StoreKey, global_key
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -53,3 +55,21 @@ def test_readme_config_example_parses(tmp_path):
     path.write_text(blocks[0], encoding="utf-8")
     cfg = experiment_config(parse_config_file(path))
     assert cfg.n_clients == 8 and cfg.rounds == 10
+
+
+def test_readme_filesystem_layout_matches_the_store(tmp_path):
+    (layout,) = re.findall(r"Filesystem records: `<root>/([^`]*)`", README.read_text())
+    # Each <name> in the README's path matches one path component, named <name>.
+    pattern = "".join(
+        f"(?P<{part[1:-1]}>[^/]+)" if part.startswith("<") else re.escape(part)
+        for part in re.split(r"(<\w+>)", layout)
+    )
+    store = FilesystemStore(tmp_path, "ns")
+    for key in (StoreKey(7, 3), global_key(3)):
+        store.put(ModelRecord(key=key, payload=b"p"))
+    found = set()
+    for path in tmp_path.rglob("*.rec"):
+        match = re.fullmatch(pattern, path.relative_to(tmp_path).as_posix())
+        assert match, f"{path} does not match the README's {layout}"
+        found.add((match["namespace"], match["round"], match["client"]))
+    assert found == {("ns", "3", "7"), ("ns", "3", "global")}

@@ -37,7 +37,7 @@ def make_config(kind: BackendKind, tmp_path, namespace="t") -> BackendConfig:
 
 def record(client_id, round_number, payload=b"payload", **kw):
     return ModelRecord(
-        key=StoreKey(client_id, round_number, 0), payload=payload, stored_at=1, **kw
+        key=StoreKey(client_id, round_number), payload=payload, stored_at=1, **kw
     )
 
 
@@ -142,9 +142,9 @@ def test_basic_contract_examples(kind, tmp_path):
     with pytest.raises(DuplicateKeyError):
         store.put(rec)
     with pytest.raises(NotFoundError):
-        store.get(StoreKey(4, 9, 0))
+        store.get(StoreKey(4, 9))
     with pytest.raises(ValidationError):
-        store.get(StoreKey(0, 0, 0))  # client rounds start at 1
+        store.get(StoreKey(0, 0))  # client rounds start at 1
     assert store.fetch_round(5, 3) == []
     with pytest.raises(ValidationError):
         store.fetch_round(0, 3)  # client rounds start at 1
@@ -153,9 +153,7 @@ def test_basic_contract_examples(kind, tmp_path):
 
 def test_key_validation():
     with pytest.raises(ValidationError):
-        StoreKey(-2, 1, 0)
-    with pytest.raises(ValidationError):
-        StoreKey(0, 1, -1)
+        StoreKey(-2, 1)
     assert global_key(0).client_label == "global"
     assert StoreKey(3, 1).client_label == "3"
 
@@ -200,7 +198,7 @@ def test_filesystem_record_file_layout(tmp_path):
     store = FilesystemStore(tmp_path, "ns")
     rec = record(7, 3, payload=b"\x01\x02\x03")
     store.put(rec)
-    path = tmp_path / "ns" / "7" / "3" / "0.rec"
+    path = tmp_path / "ns" / "3" / "7.rec"
     blob = path.read_bytes()
     assert blob[:4] == b"DDR1"
     assert int.from_bytes(blob[4:12], "little") == 3  # payload length
@@ -211,22 +209,29 @@ def test_filesystem_record_file_layout(tmp_path):
 def test_filesystem_global_renders_as_global_dir(tmp_path):
     store = FilesystemStore(tmp_path, "ns")
     store.put(global_record(1, payload=b"g"))
-    assert (tmp_path / "ns" / "global" / "1" / "0.rec").is_file()
+    assert (tmp_path / "ns" / "1" / "global.rec").is_file()
 
 
 @pytest.mark.parametrize(
-    "stray", ["0/1/abc.rec", "0/1/007.rec", "007/1/0.rec", "global/5/junk.rec"]
+    "stray", ["1/abc.rec", "1/007.rec", "007/0.rec", "5/junk.rec", "5/global.rec/", "5/3.rec"]
 )
 def test_filesystem_skips_stray_names(stray, tmp_path):
-    """Only names that put writes count; anything else in the tree is skipped."""
+    """Only names that put writes count; anything else in the tree is skipped.
+
+    A trailing slash makes the stray a directory. ``5/3.rec`` is a client
+    record of a round with no global, which must not count as round 5.
+    """
     store = FilesystemStore(tmp_path, "ns")
     real = [record(0, 1, payload=b"a"), record(1, 1, payload=b"b")]
     for rec in real:
         store.put(rec)
     store.put(global_record(1, payload=b"g"))
     path = tmp_path / "ns" / stray
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(encode_record(record(0, 1, payload=b"stray")))
+    if stray.endswith("/"):
+        path.mkdir(parents=True)
+    else:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(encode_record(record(0, 1, payload=b"stray")))
     assert store.fetch_round(1, 2) == real
     assert store.latest_round() == 1
 
@@ -235,7 +240,7 @@ def test_filesystem_corrupt_record_detected(tmp_path):
     store = FilesystemStore(tmp_path, "ns")
     rec = record(1, 1)
     store.put(rec)
-    path = tmp_path / "ns" / "1" / "1" / "0.rec"
+    path = tmp_path / "ns" / "1" / "1.rec"
     path.write_bytes(b"DDR1" + b"\x00" * 4)  # far too short
     with pytest.raises(CorruptRecordError):
         store.get(rec.key)
@@ -248,7 +253,7 @@ def test_filesystem_large_record_file_is_its_encoding(fsync, tmp_path):
     store = FilesystemStore(tmp_path, "ns", fsync=fsync)
     rec = record(2, 1, payload=os.urandom(3 * 2**20 + 7), accuracy=0.25, elapsed_ms=3.0)
     store.put(rec)
-    path = tmp_path / "ns" / "2" / "1" / "0.rec"
+    path = tmp_path / "ns" / "1" / "2.rec"
     assert path.read_bytes() == encode_record(rec)
     assert store.get(rec.key) == rec
     assert store.fetch_round(1, 3) == [rec]
@@ -268,7 +273,7 @@ def test_filesystem_record_of_wrong_size_or_magic_is_corrupt(damage, tmp_path):
     store = FilesystemStore(tmp_path, "ns")
     rec = record(0, 1, payload=os.urandom(10_000))
     store.put(rec)
-    path = tmp_path / "ns" / "0" / "1" / "0.rec"
+    path = tmp_path / "ns" / "1" / "0.rec"
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(CorruptRecordError):
         store.get(rec.key)
@@ -292,11 +297,11 @@ def test_filesystem_crash_between_write_and_publish(tmp_path, monkeypatch):
     monkeypatch.undo()
 
     with pytest.raises(NotFoundError):
-        store.get(StoreKey(0, 1, 0))
+        store.get(StoreKey(0, 1))
     assert store.fetch_round(1, 1) == []
     # The slot is still usable afterwards.
     store.put(record(0, 1, payload=b"second attempt"))
-    assert store.get(StoreKey(0, 1, 0)).payload == b"second attempt"
+    assert store.get(StoreKey(0, 1)).payload == b"second attempt"
 
 
 def break_namespace(ns_dir, fault):
@@ -316,7 +321,7 @@ def test_filesystem_broken_namespace_is_unavailable(operation, fault, tmp_path):
     break_namespace(tmp_path / "ns", fault)
     calls = {
         "put": lambda: store.put(record(1, 1)),
-        "get": lambda: store.get(StoreKey(0, 1, 0)),
+        "get": lambda: store.get(StoreKey(0, 1)),
         "fetch_round": lambda: store.fetch_round(1, 2),
         "latest_round": store.latest_round,
     }
@@ -330,6 +335,16 @@ def test_filesystem_namespace_path_that_is_a_file_fails_open(tmp_path):
     with pytest.raises(BackendUnavailableError):
         FilesystemStore(tmp_path, "ns")
     assert (tmp_path / "ns").read_bytes() == b"not a directory"
+
+
+def test_filesystem_namespace_in_the_old_layout_fails_open(tmp_path):
+    """A namespace of <client>/<round>/<iteration>.rec files is refused, not misread."""
+    old = tmp_path / "ns" / "global" / "0" / "0.rec"
+    old.parent.mkdir(parents=True)
+    old.write_bytes(encode_record(global_record(0)))
+    with pytest.raises(BackendUnavailableError, match="older layout"):
+        FilesystemStore(tmp_path, "ns")
+    assert old.read_bytes() == encode_record(global_record(0))
 
 
 @pytest.mark.parametrize("entry", ["open_backend", "store_class"])
@@ -378,7 +393,7 @@ def test_fsync_flag_accepted(tmp_path):
     )
     store = open_backend(cfg)
     store.put(record(0, 1))
-    assert store.get(StoreKey(0, 1, 0)).payload == b"payload"
+    assert store.get(StoreKey(0, 1)).payload == b"payload"
 
 
 def test_filesystem_fsync_syncs_each_directory_that_gained_an_entry(tmp_path, monkeypatch):
@@ -406,7 +421,7 @@ def test_filesystem_fsync_syncs_each_directory_that_gained_an_entry(tmp_path, mo
     assert synced_paths() == ["."]
     store.put(record(0, 1))
     # The temp file synced before the link is the record's inode.
-    assert synced_paths() == ["ns", "ns/0", "ns/0/1", "ns/0/1/0.rec"]
+    assert synced_paths() == ["ns", "ns/1", "ns/1/0.rec"]
 
 
 # --- queue backend --------------------------------------------------------------
@@ -420,7 +435,7 @@ def test_queue_contract_reads_after_transport():
     assert [r.key.client_id for r in fetched] == [0, 1]
     assert store.latest_round() == 1
     assert store.get(global_key(1)).payload == b"g1"
-    assert store.get(StoreKey(1, 1, 0)).payload == b"m1"
+    assert store.get(StoreKey(1, 1)).payload == b"m1"
 
 
 # --- relational backend ----------------------------------------------------------
@@ -434,16 +449,13 @@ def test_relational_schema_columns(tmp_path):
         "namespace",
         "client_id",
         "round",
-        "iteration",
         "payload",
         "accuracy",
         "elapsed_ms",
         "stored_at",
     ]
-    row = conn.execute(
-        'SELECT namespace, client_id, "round", iteration, payload FROM models'
-    ).fetchone()
-    assert row == ("ns", 2, 4, 0, b"blob")
+    row = conn.execute('SELECT namespace, client_id, "round", payload FROM models').fetchone()
+    assert row == ("ns", 2, 4, b"blob")
     conn.close()
     store.close()
 
@@ -454,7 +466,7 @@ def test_relational_durable_across_reopen(tmp_path):
     store.put(record(0, 1, payload=b"keep me"))
     store.close()
     reopened = open_backend(cfg)
-    assert reopened.get(StoreKey(0, 1, 0)).payload == b"keep me"
+    assert reopened.get(StoreKey(0, 1)).payload == b"keep me"
     reopened.close()
 
 
@@ -463,9 +475,9 @@ def test_relational_namespaces_isolated(tmp_path):
     b = RelationalStore(tmp_path, "beta")
     a.put(record(0, 1, payload=b"a"))
     with pytest.raises(NotFoundError):
-        b.get(StoreKey(0, 1, 0))
+        b.get(StoreKey(0, 1))
     b.put(record(0, 1, payload=b"b"))
-    assert a.get(StoreKey(0, 1, 0)).payload == b"a"
+    assert a.get(StoreKey(0, 1)).payload == b"a"
     a.close()
     b.close()
 
@@ -473,7 +485,7 @@ def test_relational_namespaces_isolated(tmp_path):
 @pytest.mark.parametrize(
     "read",
     [
-        lambda store: store.get(StoreKey(0, 1, 0)),
+        lambda store: store.get(StoreKey(0, 1)),
         lambda store: store.fetch_round(1, 1),
         lambda store: store.latest_round(),
     ],
@@ -487,8 +499,8 @@ def test_relational_reads_on_closed_store_raise_unavailable(read, tmp_path):
         read(store)
 
 
-def test_relational_open_failure_closes_its_connection(tmp_path, monkeypatch):
-    (tmp_path / "models.sqlite3").write_bytes(b"not a database" * 100)
+def record_connections(monkeypatch) -> list:
+    """The list that every sqlite3 connection opened from now on is appended to."""
     connections = []
     connect = sqlite3.connect
 
@@ -497,6 +509,12 @@ def test_relational_open_failure_closes_its_connection(tmp_path, monkeypatch):
         return connections[-1]
 
     monkeypatch.setattr(sqlite3, "connect", recording_connect)
+    return connections
+
+
+def test_relational_open_failure_closes_its_connection(tmp_path, monkeypatch):
+    (tmp_path / "models.sqlite3").write_bytes(b"not a database" * 100)
+    connections = record_connections(monkeypatch)
     with pytest.raises(BackendUnavailableError):
         RelationalStore(tmp_path, "ns")
     (conn,) = connections
@@ -506,23 +524,62 @@ def test_relational_open_failure_closes_its_connection(tmp_path, monkeypatch):
 
 def test_relational_fetch_round_sorts_without_a_temporary_sorter(tmp_path):
     # An ORDER BY that no index serves copies every payload into a temporary
-    # b-tree; fetch_round sorts its records in Python instead.
+    # b-tree. The primary key leads with the round, so fetch_round seeks to
+    # its round and reads the clients in key order, and get seeks on the
+    # whole key.
     store = RelationalStore(tmp_path, "ns")
-    for client_id, iteration in ((2, 0), (0, 1), (1, 0), (0, 0)):
-        store.put(
-            ModelRecord(key=StoreKey(client_id, 3, iteration), payload=b"p", stored_at=1)
-        )
-    statements = []
-    store._conn.set_trace_callback(statements.append)
-    records = store.fetch_round(3, 3)
-    store._conn.set_trace_callback(None)
-    assert [(rec.key.client_id, rec.key.iteration) for rec in records] == [
-        (0, 0), (0, 1), (1, 0), (2, 0)
-    ]
-    (select,) = statements
-    plan = [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + select)]
-    assert plan and not any("TEMP B-TREE" in step for step in plan), plan
+    for round_number in (2, 3, 4):
+        for client_id in (2, 0, 1):
+            store.put(record(client_id, round_number))
+        store.put(global_record(round_number))
+
+    def plan_of(read):
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        result = read()
+        store._conn.set_trace_callback(None)
+        (statement,) = statements
+        return result, [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + statement)]
+
+    records, plan = plan_of(lambda: store.fetch_round(3, 3))
+    assert [rec.key for rec in records] == [StoreKey(c, 3) for c in (0, 1, 2)]
+    (step,) = plan
+    assert step.startswith("SEARCH") and "round=?" in step and "TEMP B-TREE" not in step, plan
+    got, plan = plan_of(lambda: store.get(StoreKey(1, 3)))
+    assert got.key == StoreKey(1, 3)
+    (step,) = plan
+    assert step.startswith("SEARCH"), plan
+    assert "(namespace=? AND round=? AND client_id=?)" in step, plan
     store.close()
+
+
+# The table as written before records were keyed by (client, round).
+OLD_RELATIONAL_SCHEMA = """
+CREATE TABLE IF NOT EXISTS models (
+    namespace  TEXT    NOT NULL,
+    client_id  INTEGER NOT NULL,
+    "round"    INTEGER NOT NULL,
+    iteration  INTEGER NOT NULL,
+    payload    BLOB    NOT NULL,
+    accuracy   REAL,
+    elapsed_ms REAL,
+    stored_at  INTEGER NOT NULL,
+    PRIMARY KEY (namespace, client_id, "round", iteration)
+)
+"""
+
+
+def test_relational_store_in_the_old_format_fails_at_open(tmp_path, monkeypatch):
+    """A file whose table still has the iteration column is refused, not misread."""
+    conn = sqlite3.connect(tmp_path / "models.sqlite3")
+    conn.execute(OLD_RELATIONAL_SCHEMA)
+    conn.close()
+    connections = record_connections(monkeypatch)
+    with pytest.raises(BackendUnavailableError, match="models.sqlite3"):
+        RelationalStore(tmp_path, "fresh")
+    (opened,) = connections
+    with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+        opened.execute("SELECT 1")
 
 
 # --- payload opacity ---------------------------------------------------------
@@ -533,5 +590,5 @@ def test_store_never_inspects_payload(kind, tmp_path):
     store = open_backend(make_config(kind, tmp_path))
     noise = os.urandom(257)
     store.put(record(0, 1, payload=noise))
-    assert store.get(StoreKey(0, 1, 0)).payload == noise
+    assert store.get(StoreKey(0, 1)).payload == noise
     store.close()
