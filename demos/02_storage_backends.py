@@ -3,9 +3,10 @@
 
 The training protocol never names a database: it talks to a ModelStore.
 This script stores the same records through all four embedded backends,
-runs the shared conformance suite on each with ``ddfl.check_backend`` (every
-property in a fresh namespace of one config, and a reopen check on the disk
-kinds), and peeks at the filesystem backend's on-disk layout.
+shows that a round's global retires its client records, runs the shared
+conformance suite on each with ``ddfl.check_backend`` (every property in a
+fresh namespace of one config, and a reopen check on the disk kinds), and
+peeks at the filesystem backend's on-disk layout.
 """
 
 import tempfile
@@ -28,13 +29,14 @@ with tempfile.TemporaryDirectory(prefix="ddfl-backends-") as tmp:
         # Same calls, regardless of what sits underneath.
         store.put(ModelRecord(key=StoreKey(0, 1), payload=b"client-0 model", stored_at=now_ms()))
         store.put(ModelRecord(key=StoreKey(1, 1), payload=b"client-1 model", stored_at=now_ms()))
+        round_records = store.fetch_round(1, 2)
+        # The round's global closes the round and retires its client records.
         store.put(
             ModelRecord(key=global_key(1), payload=b"global model", accuracy=0.9, stored_at=now_ms())
         )
-        round_records = store.fetch_round(1, 2)
         print(
             f"{cfg.kind.value:12s} round 1 clients={[r.key.client_id for r in round_records]}"
-            f" latest_round={store.latest_round()}"
+            f" after its global: {store.fetch_round(1, 2)} latest_round={store.latest_round()}"
         )
         store.close()
 

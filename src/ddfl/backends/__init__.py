@@ -3,7 +3,7 @@
 Each backend models one database family by its dominant latency
 characteristic: RAM (memory), disk files (filesystem), and an indexed SQL
 table (relational). The queue kind keeps its records in the memory
-backend's dict; it exists because the round benchmark and config files
+backend's dicts; it exists because the round benchmark and config files
 name it.
 """
 

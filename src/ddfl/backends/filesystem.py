@@ -14,6 +14,11 @@ existing target, giving crash safety and duplicate detection in one step.
 With fsync on, the record file is synced before the link, and every
 directory that may have gained an entry (round, namespace) after it.
 
+Linking a round's global closes the round: its client records are then
+unlinked, a later client ``put`` into it raises DuplicateKeyError, and
+``fetch_round`` returns nothing for a round directory that lists a
+global.rec, so records left by a crash before the unlinks stay hidden.
+
 Every OSError is a BackendUnavailableError, except a missing record on
 ``get`` (NotFoundError) and an existing one on ``link`` (DuplicateKeyError).
 So is a missing root at open, which makes only the namespace directory, a
@@ -38,6 +43,8 @@ _HEADER = struct.Struct("<4sQI")
 _FOOTER = struct.Struct("<ddQ")
 _HAS_ACCURACY = 0x1
 _HAS_ELAPSED = 0x2
+# The name of a round's global record; a round directory holding it is closed.
+GLOBAL_RECORD = "global.rec"
 
 
 def _frame(record: ModelRecord) -> tuple[bytes, bytes]:
@@ -63,7 +70,7 @@ def encode_record(record: ModelRecord) -> bytes:
     return b"".join((header, record.payload, footer))
 
 
-def _read_record(path: Path, key: StoreKey) -> ModelRecord:
+def _read_record(path: str | Path, key: StoreKey) -> ModelRecord:
     """Check a record file's header against its size, then read the payload in one read."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -89,17 +96,29 @@ def _read_record(path: Path, key: StoreKey) -> ModelRecord:
     )
 
 
-def _numbered_entries(directory: Path, suffix: str = "") -> Iterator[tuple[int, Path]]:
-    """Yield (n, entry) for each entry of ``directory`` named ``str(n) + suffix``.
+def _listing(directory: Path) -> list[os.DirEntry]:
+    """The entries of ``directory``; a missing directory, or a file, is empty."""
+    try:
+        with os.scandir(directory) as entries:
+            return list(entries)
+    except (FileNotFoundError, NotADirectoryError):
+        return []
 
-    These are the names ``put`` writes; any other name (``global.rec``,
-    ``007``, ``abc.rec``, a temp file) is skipped, and a missing directory is empty.
+
+def _numbered_entries(
+    entries: list[os.DirEntry], suffix: str = ""
+) -> Iterator[tuple[int, os.DirEntry]]:
+    """Yield (n, entry) for each entry named ``str(n) + suffix`` that ``put`` could write.
+
+    With a suffix these are regular files (records), without one
+    directories (rounds). Any other name or kind of entry (``global.rec``,
+    ``007``, ``abc.rec``, a temp file, a directory ``3.rec``) is skipped.
     """
-    if not directory.is_dir():
-        return
-    for entry in directory.iterdir():
+    for entry in entries:
         number = entry.name.removesuffix(suffix)
-        if entry.name == number + suffix and number.isdecimal() and str(int(number)) == number:
+        if entry.name != number + suffix or not number.isdecimal() or str(int(number)) != number:
+            continue
+        if entry.is_file(follow_symlinks=False) if suffix else entry.is_dir(follow_symlinks=False):
             yield int(number), entry
 
 
@@ -142,11 +161,12 @@ class FilesystemStore(ModelStore):
 
     def put(self, record: ModelRecord) -> None:
         final = self._record_path(record.key)
-        tmp = final.parent / f".{final.name}.tmp-{uuid.uuid4().hex}"
+        round_dir = final.parent
+        tmp = round_dir / f".{final.name}.tmp-{uuid.uuid4().hex}"
         header, footer = _frame(record)
         with self._available():
             # No parents=True: a namespace that vanishes now must stay missing.
-            final.parent.mkdir(exist_ok=True)
+            round_dir.mkdir(exist_ok=True)
             try:
                 with open(tmp, "wb") as fh:
                     # A payload larger than the write buffer goes from its
@@ -164,10 +184,22 @@ class FilesystemStore(ModelStore):
                         f"{record.key} already stored in {self.namespace!r}"
                     ) from None
                 if self.fsync:
-                    for directory in (final.parent, self._ns_dir):
+                    for directory in (round_dir, self._ns_dir):
                         _fsync_dir(directory)
             finally:
                 tmp.unlink(missing_ok=True)
+            if record.key.is_global:
+                # Retire the round's client records; a racing client may
+                # already have removed its own.
+                for _, entry in _numbered_entries(_listing(round_dir), ".rec"):
+                    with contextlib.suppress(FileNotFoundError):
+                        os.unlink(entry.path)
+            elif (round_dir / GLOBAL_RECORD).is_file():
+                # Checked after the link: a global linked before this check
+                # closed the round first, and one linked after it retires
+                # this record with the rest of the round.
+                final.unlink(missing_ok=True)
+                raise DuplicateKeyError(f"{record.key} is in a closed round in {self.namespace!r}")
 
     def get(self, key: StoreKey) -> ModelRecord:
         path = self._record_path(key)
@@ -181,12 +213,17 @@ class FilesystemStore(ModelStore):
         check_fetch_round_args(round_number)
         records = []
         with self._available():
-            for client_id, path in _numbered_entries(self._ns_dir / str(round_number), ".rec"):
-                records.append(_read_record(path, StoreKey(client_id, round_number)))
+            entries = _listing(self._ns_dir / str(round_number))
+            # A closed round is empty, even if a crash or a late put left records in it.
+            if any(entry.name == GLOBAL_RECORD and entry.is_file() for entry in entries):
+                return []
+            for client_id, entry in _numbered_entries(entries, ".rec"):
+                records.append(_read_record(entry.path, StoreKey(client_id, round_number)))
         records.sort(key=lambda rec: rec.key.client_id)
         return records
 
     def latest_round(self) -> int:
         with self._available():
-            rounds = _numbered_entries(self._ns_dir)
-            return max((n for n, path in rounds if (path / "global.rec").is_file()), default=0)
+            rounds = _numbered_entries(_listing(self._ns_dir))
+            closed = (n for n, entry in rounds if Path(entry.path, GLOBAL_RECORD).is_file())
+            return max(closed, default=0)

@@ -4,6 +4,14 @@ One database file per root directory; the schema is a single table whose
 columns and primary key mirror the record addressing exactly, so several
 namespaces can share the file. The key leads with the round, so a round's
 records are one index range. A table with other columns fails at open.
+
+Putting a round's global deletes the round's client records in the same
+transaction. Every insert is guarded, in the same statement, by the
+absence of its round's global, so a closed round takes no new records.
+Freed pages are not zeroed (``secure_delete = OFF``): the payloads are
+ciphertext, and zeroing would write and journal every page a round frees.
+A new file gets 32 KiB pages, so a model token spans fewer overflow pages
+to write, read and free; an existing file keeps its page size.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from ..store import (
 )
 
 DB_FILENAME = "models.sqlite3"
+PAGE_SIZE = 32768
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS models (
@@ -39,6 +48,13 @@ CREATE TABLE IF NOT EXISTS models (
     PRIMARY KEY (namespace, "round", client_id)
 )
 """
+# A record goes in only while its round has no global: a client's round is
+# still open, and a global is not stored yet.
+_INSERT_INTO_OPEN_ROUND = (
+    'INSERT INTO models (namespace, client_id, "round", payload, accuracy, elapsed_ms, stored_at)'
+    " SELECT ?1, ?2, ?3, ?4, ?5, ?6, ?7 WHERE NOT EXISTS (SELECT 1 FROM models"
+    f' WHERE namespace = ?1 AND "round" = ?3 AND client_id = {GLOBAL_CLIENT_ID})'
+)
 _COLUMNS = ["namespace", "client_id", "round", "payload", "accuracy", "elapsed_ms", "stored_at"]
 
 
@@ -51,6 +67,9 @@ class RelationalStore(ModelStore):
         try:
             conn = sqlite3.connect(self.path, check_same_thread=False)
             conn.execute(f"PRAGMA synchronous = {'FULL' if fsync else 'OFF'}")
+            conn.execute("PRAGMA secure_delete = OFF")
+            # Takes effect only while the file is still empty.
+            conn.execute(f"PRAGMA page_size = {PAGE_SIZE}")
             conn.execute(_SCHEMA)
             conn.commit()
             columns = [row[1] for row in conn.execute("PRAGMA table_info(models)")]
@@ -78,27 +97,30 @@ class RelationalStore(ModelStore):
         )
 
     def put(self, record: ModelRecord) -> None:
+        key = record.key
+        values = (
+            self.namespace,
+            key.client_id,
+            key.round,
+            record.payload,
+            record.accuracy,
+            record.elapsed_ms,
+            record.stored_at,
+        )
         with self._lock:
             try:
-                self._conn.execute(
-                    'INSERT INTO models (namespace, client_id, "round",'
-                    " payload, accuracy, elapsed_ms, stored_at)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        self.namespace,
-                        record.key.client_id,
-                        record.key.round,
-                        record.payload,
-                        record.accuracy,
-                        record.elapsed_ms,
-                        record.stored_at,
-                    ),
-                )
-                self._conn.commit()
+                with self._conn:  # one transaction: commit, or roll back on any error
+                    if not self._conn.execute(_INSERT_INTO_OPEN_ROUND, values).rowcount:
+                        what = "already stored" if key.is_global else "is in a closed round"
+                        raise DuplicateKeyError(f"{key} {what} in {self.namespace!r}")
+                    if key.is_global:
+                        self._conn.execute(
+                            'DELETE FROM models WHERE namespace = ? AND "round" = ?'
+                            " AND client_id >= 0",
+                            (self.namespace, key.round),
+                        )
             except sqlite3.IntegrityError:
-                raise DuplicateKeyError(
-                    f"{record.key} already stored in {self.namespace!r}"
-                ) from None
+                raise DuplicateKeyError(f"{key} already stored in {self.namespace!r}") from None
             except sqlite3.Error as exc:
                 raise BackendUnavailableError(str(exc)) from exc
 

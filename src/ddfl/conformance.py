@@ -32,6 +32,14 @@ def _expect(condition: bool, message: str) -> None:
         raise AssertionError(message)
 
 
+def _expect_raises(error: type[Exception], action: Callable[[], object], message: str) -> None:
+    try:
+        action()
+    except error:
+        return
+    raise AssertionError(message)
+
+
 def _random_record(rng: random.Random, client_id: int, round_number: int) -> ModelRecord:
     payload = rng.randbytes(rng.randint(1, 2048))
     return ModelRecord(
@@ -57,38 +65,33 @@ def _check_roundtrip(store: ModelStore, rng: random.Random) -> None:
 def _check_duplicate_rejection(store: ModelStore, rng: random.Random) -> None:
     record = _random_record(rng, 0, 1)
     store.put(record)
-    try:
-        store.put(record)
-    except DuplicateKeyError:
-        pass
-    else:
-        raise AssertionError("second put of the same key did not raise DuplicateKeyError")
+    _expect_raises(
+        DuplicateKeyError,
+        lambda: store.put(record),
+        "second put of the same key did not raise DuplicateKeyError",
+    )
     store.put(_random_record(rng, GLOBAL_CLIENT_ID, 1))
-    try:
-        store.put(_random_record(rng, GLOBAL_CLIENT_ID, 1))
-    except DuplicateKeyError:
-        pass
-    else:
-        raise AssertionError("second put of a round's global did not raise DuplicateKeyError")
+    _expect_raises(
+        DuplicateKeyError,
+        lambda: store.put(_random_record(rng, GLOBAL_CLIENT_ID, 1)),
+        "second put of a round's global did not raise DuplicateKeyError",
+    )
 
 
 def _check_not_found(store: ModelStore, rng: random.Random) -> None:
     for key in (StoreKey(5, 7), global_key(99)):
-        try:
-            store.get(key)
-        except NotFoundError:
-            continue
-        raise AssertionError(f"get on never-written {key} did not raise NotFoundError")
-    try:
-        StoreKey(1, 0)
-    except ValidationError:
-        pass
-    else:
-        raise AssertionError("client key with round 0 was not rejected")
+        _expect_raises(
+            NotFoundError,
+            lambda: store.get(key),
+            f"get on never-written {key} did not raise NotFoundError",
+        )
+    _expect_raises(
+        ValidationError, lambda: StoreKey(1, 0), "client key with round 0 was not rejected"
+    )
 
 
 def _check_sorted_fetch_round(store: ModelStore, rng: random.Random) -> None:
-    for client_id in (2, GLOBAL_CLIENT_ID, 0, 1):
+    for client_id in (2, 0, 1):
         store.put(_random_record(rng, client_id, 4))
     records = store.fetch_round(4, 3)
     ids = [rec.key.client_id for rec in records]
@@ -105,6 +108,33 @@ def _check_latest_round(store: ModelStore, rng: random.Random) -> None:
     store.put(_random_record(rng, 0, 9))
     _expect(store.latest_round() == 3, "client records must not affect latest_round")
     _expect(store.get(global_key(3)).key == global_key(3), "global of round 3 has another key")
+
+
+def _check_retired_round(store: ModelStore, rng: random.Random) -> None:
+    # Putting round 2's global closes round 2 and leaves round 3 open.
+    closed_round = [_random_record(rng, client_id, 2) for client_id in range(3)]
+    open_round = [_random_record(rng, client_id, 3) for client_id in range(3)]
+    for record in closed_round + open_round:
+        store.put(record)
+    for round_number in (1, 2):
+        store.put(_random_record(rng, GLOBAL_CLIENT_ID, round_number))
+    _expect(store.fetch_round(2, 3) == [], "a round's global did not retire its client records")
+    _expect_raises(
+        NotFoundError,
+        lambda: store.get(StoreKey(0, 2)),
+        "get of a retired client record did not raise NotFoundError",
+    )
+    _expect_raises(
+        DuplicateKeyError,
+        lambda: store.put(_random_record(rng, 4, 2)),
+        "a client put into a closed round did not raise DuplicateKeyError",
+    )
+    _expect(store.fetch_round(2, 3) == [], "a late client put reopened a closed round")
+    _expect(store.fetch_round(3, 3) == open_round, "retiring round 2 changed round 3")
+    for round_number in (1, 2):
+        got = store.get(global_key(round_number))
+        _expect(got.key == global_key(round_number), f"global {round_number} has another key")
+    _expect(store.latest_round() == 2, "latest_round is not 2 after retiring round 2")
 
 
 def _check_byte_fidelity(store: ModelStore, rng: random.Random, records: int = 1000) -> None:
@@ -176,14 +206,27 @@ def _check_concurrent_writers(store: ModelStore, rng: random.Random, writers: in
 
 def _check_durability(reopen: Callable, store: ModelStore, rng: random.Random) -> None:
     # Closes ``store`` as a restart would; the suite's own close is then a no-op.
-    record = _random_record(rng, 1, 1)
+    # Round 1 is closed by its global, round 2 still open.
+    record = _random_record(rng, 1, 2)
     store.put(record)
+    store.put(_random_record(rng, 1, 1))
     store.put(_random_record(rng, GLOBAL_CLIENT_ID, 1))
     store.close()
     with reopen() as again:
         got = again.get(record.key)
         _expect(got.payload == record.payload, "payload changed across reopen")
         _expect(again.latest_round() == 1, "global lost across reopen")
+        _expect(again.fetch_round(1, 2) == [], "a retired round has records after reopen")
+        _expect_raises(
+            NotFoundError,
+            lambda: again.get(StoreKey(1, 1)),
+            "a retired client record is back after reopen",
+        )
+        _expect_raises(
+            DuplicateKeyError,
+            lambda: again.put(_random_record(rng, 0, 1)),
+            "a closed round took a client put after reopen",
+        )
 
 
 # Seeds the random records of every property, so a failure reproduces.
@@ -195,6 +238,7 @@ CORE_PROPERTIES: list[tuple[str, Callable[[ModelStore, random.Random], None]]] =
     ("not_found", _check_not_found),
     ("sorted_fetch_round", _check_sorted_fetch_round),
     ("latest_round", _check_latest_round),
+    ("retired_round", _check_retired_round),
     ("byte_fidelity", _check_byte_fidelity),
     ("concurrent_writers", _check_concurrent_writers),
 ]

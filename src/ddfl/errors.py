@@ -52,7 +52,11 @@ class NotFoundError(StoreError):
 
 
 class DuplicateKeyError(StoreError):
-    """A record is already stored under the key; ``put`` is insert-only."""
+    """A record is already stored under the key, or its round is closed.
+
+    ``put`` is insert-only, and a round's global closes the round to
+    client records.
+    """
 
 
 class BackendUnavailableError(StoreError):

@@ -77,6 +77,11 @@ class ModelStore(abc.ABC):
     workers plus concurrent reads from the master, atomic at record
     granularity, and must never inspect payload bytes. ``put`` is
     insert-only: writing an existing key raises DuplicateKeyError.
+
+    Putting round r's global closes round r and retires its client
+    records: ``fetch_round(r)`` then returns ``[]``, ``get`` of a round-r
+    client key raises NotFoundError, and a later client ``put`` into round
+    r raises DuplicateKeyError. Globals are never retired.
     """
 
     def __init__(self, namespace: str):
@@ -85,7 +90,10 @@ class ModelStore(abc.ABC):
 
     @abc.abstractmethod
     def put(self, record: ModelRecord) -> None:
-        """Durably store a new record; fails on an existing key."""
+        """Durably store a new record; fails on an existing key or a closed round.
+
+        A global record also retires the client records of its round.
+        """
 
     @abc.abstractmethod
     def get(self, key: StoreKey) -> ModelRecord:

@@ -187,11 +187,11 @@ def test_criterion_3_backend_conformance(tmp_path):
 
         durable = FilesystemStore(fs_root, "durable")
         payload = os.urandom(2000)
-        durable.put(ModelRecord(key=StoreKey(1, 1), payload=payload, stored_at=1))
+        durable.put(ModelRecord(key=StoreKey(1, 2), payload=payload, stored_at=1))
         durable.put(ModelRecord(key=StoreKey(-1, 1), payload=b"g", stored_at=1))
         durable.close()
         reopened = FilesystemStore(fs_root, "durable")
-        assert reopened.get(StoreKey(1, 1)).payload == payload
+        assert reopened.get(StoreKey(1, 2)).payload == payload
         assert reopened.latest_round() == 1
 
 

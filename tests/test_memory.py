@@ -1,4 +1,4 @@
-"""Peak-memory bounds for data generation, the split and local SGD.
+"""Peak-memory bounds for data generation, the split, local SGD and the memory store.
 
 numpy reports its buffers to ``tracemalloc``, so the traced peak above the
 starting point measures every array a call allocates, however short-lived.
@@ -11,7 +11,13 @@ import numpy as np
 from ddfl.backends import BackendConfig, BackendKind
 from ddfl.crypto import generate_key
 from ddfl.data import generate_synthetic, partition
-from ddfl.orchestrator import ExperimentConfig, IdxSpec, SyntheticSpec, build_datasets
+from ddfl.orchestrator import (
+    ExperimentConfig,
+    IdxSpec,
+    SyntheticSpec,
+    build_datasets,
+    run_experiment,
+)
 from ddfl.params import init_model
 from ddfl.training import TrainConfig, local_train
 from test_data import write_idx_pair
@@ -85,3 +91,31 @@ def test_local_train_holds_no_float64_copy_of_the_shard():
     _, peak = traced_peak_growth(lambda: local_train(params, data, cfg))
     float64_shard_bytes = data.features.size * np.dtype(np.float64).itemsize
     assert peak < float64_shard_bytes / 4
+
+
+def memory_run_peak_growth(rounds):
+    """The token length and traced peak growth of a memory-kind ``run_experiment``."""
+    n_clients = 4
+    cfg = ExperimentConfig(
+        n_clients=n_clients,
+        rounds=rounds,
+        train=TrainConfig(learning_rate=0.1, epochs=1, batch_size=8, seed=0),
+        backend=BackendConfig(kind=BackendKind.MEMORY),
+        group_key=generate_key(rng_seed=0),
+        # 1871 x 10 parameters: a token of about 100 KB.
+        dataset=SyntheticSpec(n=64, d=1870, k=10, test_n=32),
+        seed=0,
+    )
+    outcomes, peak = traced_peak_growth(lambda: run_experiment(cfg))
+    # Every token of a run has one length: N client tokens and a global a round.
+    token_bytes = outcomes[-1].bytes_written // (n_clients + 1)
+    return token_bytes, peak
+
+
+def test_memory_store_holds_one_round_of_client_records():
+    # A round's global retires its client records, so six more rounds keep
+    # only six more globals alive, not six rounds of client tokens as well.
+    token_bytes, peak_2 = memory_run_peak_growth(2)
+    assert 90_000 < token_bytes < 110_000
+    _, peak_8 = memory_run_peak_growth(8)
+    assert peak_8 - peak_2 < 7 * token_bytes, (peak_8 - peak_2) / token_bytes

@@ -374,6 +374,16 @@ def test_orchestrator_calls_traced_functions_in_the_shape_the_tracer_reads(monke
 def test_stored_payloads_reject_wrong_key():
     cfg = memory_cfg(n_clients=2, rounds=2)
     store = open_backend(cfg.backend)
+    # A round's global retires its client records, so every payload is
+    # captured on its way into the store.
+    payloads = []
+    store_put = store.put
+
+    def capturing_put(record):
+        payloads.append(record.payload)
+        store_put(record)
+
+    store.put = capturing_put
     # Re-run the experiment against this store instance via a shared backend
     # is not possible for memory; instead replay manually.
     train, test = build_datasets(cfg)
@@ -388,8 +398,6 @@ def test_stored_payloads_reject_wrong_key():
         run_round(round_number, store, cfg, test, shard_sizes=[len(s) for s in shards])
 
     wrong = generate_key(rng_seed=123456)
-    payloads = [store.get(global_key(r)).payload for r in range(0, 3)]
-    payloads += [rec.payload for r in (1, 2) for rec in store.fetch_round(r, 2)]
     assert len(payloads) == 7
     for payload in payloads:
         with pytest.raises(AuthenticationError):

@@ -3,6 +3,7 @@ import shutil
 import sqlite3
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from ddfl.errors import (
     NotFoundError,
     ValidationError,
 )
-from ddfl.store import ModelRecord, StoreKey, global_key
+from ddfl.store import ModelRecord, ModelStore, StoreKey, global_key
 
 ALL_KINDS = list(BackendKind)
 
@@ -59,6 +60,7 @@ def test_conformance_suite(kind, tmp_path, capsys):
             "duplicate_rejection",
             "sorted_fetch_round",
             "latest_round",
+            "retired_round",
             "byte_fidelity",
             "concurrent_writers",
         }
@@ -101,6 +103,45 @@ def test_conformance_fails_a_lying_store_under_python_O(capsys):
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     assert optimized.stdout == failed
+
+
+class KeepEverythingStore(ModelStore):
+    """A locked dict of every record ever put: the contract before rounds closed."""
+
+    def __init__(self, namespace):
+        super().__init__(namespace)
+        self._records = {}
+        self._lock = threading.Lock()
+
+    def put(self, record):
+        with self._lock:
+            if record.key in self._records:
+                raise DuplicateKeyError(str(record.key))
+            self._records[record.key] = record
+
+    def get(self, key):
+        with self._lock:
+            try:
+                return self._records[key]
+            except KeyError:
+                raise NotFoundError(str(key)) from None
+
+    def fetch_round(self, round_number, expected_clients):
+        with self._lock:
+            records = list(self._records.values())
+        return sorted(
+            (r for r in records if r.key.round == round_number and not r.key.is_global),
+            key=lambda r: r.key.client_id,
+        )
+
+    def latest_round(self):
+        with self._lock:
+            return max((k.round for k in self._records if k.is_global), default=0)
+
+
+def test_conformance_fails_a_store_that_never_retires_a_round():
+    results = run_suite(lambda: KeepEverythingStore("kept"))
+    assert [r.name for r in results if not r.passed] == ["retired_round"]
 
 
 def test_conformance_fails_durability_of_memory_store():
@@ -151,6 +192,48 @@ def test_basic_contract_examples(kind, tmp_path):
     store.close()
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+def test_global_racing_client_puts_leaves_no_client_record(kind, tmp_path):
+    """Each client put that races its round's global is retired or refused, never kept."""
+    store = open_backend(make_config(kind, tmp_path))
+    clients = 8
+    errors = []
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_number in range(1, 11):
+            start = threading.Barrier(clients + 1)
+
+            def put(rec):
+                try:
+                    start.wait(timeout=10)
+                    store.put(rec)
+                except DuplicateKeyError:
+                    pass  # the round closed first
+                except BaseException as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            records = [record(c, round_number) for c in range(clients)]
+            threads = [
+                threading.Thread(target=put, args=(rec,))
+                for rec in [*records[:4], global_record(round_number), *records[4:]]
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            assert store.fetch_round(round_number, clients) == []
+            for rec in records:
+                with pytest.raises(NotFoundError):
+                    store.get(rec.key)
+            assert store.latest_round() == round_number
+    finally:
+        sys.setswitchinterval(switch_interval)
+        store.close()
+
+
 def test_key_validation():
     with pytest.raises(ValidationError):
         StoreKey(-2, 1)
@@ -181,7 +264,8 @@ def test_memory_backend_not_durable(tmp_path):
 def test_filesystem_durable_across_reopen(tmp_path):
     cfg = make_config(BackendKind.FILESYSTEM, tmp_path)
     store = open_backend(cfg)
-    rec = record(3, 2, payload=os.urandom(4096), accuracy=0.5, elapsed_ms=12.5)
+    # Round 3 is still open, so the global of round 2 leaves its record in place.
+    rec = record(3, 3, payload=os.urandom(4096), accuracy=0.5, elapsed_ms=12.5)
     store.put(rec)
     store.put(global_record(2, payload=b"gl"))
     store.close()
@@ -213,19 +297,20 @@ def test_filesystem_global_renders_as_global_dir(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "stray", ["1/abc.rec", "1/007.rec", "007/0.rec", "5/junk.rec", "5/global.rec/", "5/3.rec"]
+    "stray",
+    ["1/abc.rec", "1/007.rec", "007/0.rec", "5/junk.rec", "5/global.rec/", "5/3.rec", "1/3.rec/"],
 )
 def test_filesystem_skips_stray_names(stray, tmp_path):
     """Only names that put writes count; anything else in the tree is skipped.
 
     A trailing slash makes the stray a directory. ``5/3.rec`` is a client
     record of a round with no global, which must not count as round 5.
+    A directory ``1/3.rec`` is neither read as a record nor retired.
     """
     store = FilesystemStore(tmp_path, "ns")
     real = [record(0, 1, payload=b"a"), record(1, 1, payload=b"b")]
     for rec in real:
         store.put(rec)
-    store.put(global_record(1, payload=b"g"))
     path = tmp_path / "ns" / stray
     if stray.endswith("/"):
         path.mkdir(parents=True)
@@ -233,6 +318,8 @@ def test_filesystem_skips_stray_names(stray, tmp_path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(encode_record(record(0, 1, payload=b"stray")))
     assert store.fetch_round(1, 2) == real
+    store.put(global_record(1, payload=b"g"))
+    assert store.fetch_round(1, 2) == []
     assert store.latest_round() == 1
 
 
@@ -430,12 +517,12 @@ def test_queue_contract_reads_after_transport():
     store = QueueStore("q")
     store.put(record(1, 1, payload=b"m1"))
     store.put(record(0, 1, payload=b"m0"))
-    store.put(global_record(1, payload=b"g1"))
     fetched = store.fetch_round(1, 2)
     assert [r.key.client_id for r in fetched] == [0, 1]
+    assert store.get(StoreKey(1, 1)).payload == b"m1"
+    store.put(global_record(1, payload=b"g1"))
     assert store.latest_round() == 1
     assert store.get(global_key(1)).payload == b"g1"
-    assert store.get(StoreKey(1, 1)).payload == b"m1"
 
 
 # --- relational backend ----------------------------------------------------------
@@ -522,6 +609,22 @@ def test_relational_open_failure_closes_its_connection(tmp_path, monkeypatch):
         conn.execute("SELECT 1")
 
 
+def plans_of(store, action):
+    """``action()``'s result and the plan of each statement it ran, BEGIN and COMMIT aside."""
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    try:
+        result = action()
+    finally:
+        store._conn.set_trace_callback(None)
+    plans = [
+        [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + statement)]
+        for statement in statements
+        if statement.split()[0] not in ("BEGIN", "COMMIT")
+    ]
+    return result, plans
+
+
 def test_relational_fetch_round_sorts_without_a_temporary_sorter(tmp_path):
     # An ORDER BY that no index serves copies every payload into a temporary
     # b-tree. The primary key leads with the round, so fetch_round seeks to
@@ -531,25 +634,58 @@ def test_relational_fetch_round_sorts_without_a_temporary_sorter(tmp_path):
     for round_number in (2, 3, 4):
         for client_id in (2, 0, 1):
             store.put(record(client_id, round_number))
-        store.put(global_record(round_number))
 
-    def plan_of(read):
-        statements = []
-        store._conn.set_trace_callback(statements.append)
-        result = read()
-        store._conn.set_trace_callback(None)
-        (statement,) = statements
-        return result, [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + statement)]
-
-    records, plan = plan_of(lambda: store.fetch_round(3, 3))
+    records, [[step]] = plans_of(store, lambda: store.fetch_round(3, 3))
     assert [rec.key for rec in records] == [StoreKey(c, 3) for c in (0, 1, 2)]
-    (step,) = plan
-    assert step.startswith("SEARCH") and "round=?" in step and "TEMP B-TREE" not in step, plan
-    got, plan = plan_of(lambda: store.get(StoreKey(1, 3)))
+    assert step.startswith("SEARCH") and "round=?" in step and "TEMP B-TREE" not in step, step
+    got, [[step]] = plans_of(store, lambda: store.get(StoreKey(1, 3)))
     assert got.key == StoreKey(1, 3)
-    (step,) = plan
-    assert step.startswith("SEARCH"), plan
-    assert "(namespace=? AND round=? AND client_id=?)" in step, plan
+    assert step.startswith("SEARCH"), step
+    assert "(namespace=? AND round=? AND client_id=?)" in step, step
+    store.close()
+
+
+def test_relational_retirement_seeks_its_round(tmp_path):
+    # A round's global deletes that round's client rows by one index range,
+    # and a client insert looks up its round's global by the whole key.
+    store = RelationalStore(tmp_path, "ns")
+    for round_number in (2, 3):
+        for client_id in (0, 1, 2):
+            store.put(record(client_id, round_number))
+    _, [_, [step]] = plans_of(store, lambda: store.put(global_record(2)))
+    assert step.startswith("SEARCH"), step
+    assert "(namespace=? AND round=? AND client_id>?)" in step, step
+    _, [guarded] = plans_of(store, lambda: store.put(record(3, 3)))
+    assert any("(namespace=? AND round=? AND client_id=?)" in step for step in guarded), guarded
+    assert store.fetch_round(2, 3) == []
+    assert [rec.key.client_id for rec in store.fetch_round(3, 4)] == [0, 1, 2, 3]
+    store.close()
+
+
+def test_relational_new_file_has_large_pages_and_no_secure_delete(tmp_path):
+    store = RelationalStore(tmp_path, "ns")
+    assert store._conn.execute("PRAGMA secure_delete").fetchone() == (0,)
+    store.close()
+    conn = sqlite3.connect(tmp_path / "models.sqlite3")
+    assert conn.execute("PRAGMA page_size").fetchone() == (32768,)
+    conn.close()
+
+
+def test_relational_file_with_small_pages_still_opens_and_retires(tmp_path):
+    conn = sqlite3.connect(tmp_path / "models.sqlite3")
+    conn.execute("PRAGMA page_size = 4096")
+    conn.execute("CREATE TABLE other (x)")
+    conn.close()
+    store = RelationalStore(tmp_path, "ns")
+    assert store._conn.execute("PRAGMA page_size").fetchone() == (4096,)
+    store.put(record(0, 1, payload=os.urandom(40_000)))
+    store.put(global_record(1))
+    assert store.fetch_round(1, 1) == []
+    with pytest.raises(NotFoundError):
+        store.get(StoreKey(0, 1))
+    with pytest.raises(DuplicateKeyError):
+        store.put(record(1, 1))
+    assert store.latest_round() == 1
     store.close()
 
 
