@@ -16,8 +16,9 @@ directory that may have gained an entry (round, namespace) after it.
 
 Linking a round's global closes the round: its client records are then
 unlinked, a later client ``put`` into it raises DuplicateKeyError, and
-``fetch_round`` returns nothing for a round directory that lists a
-global.rec, so records left by a crash before the unlinks stay hidden.
+``fetch_round`` and ``get`` find no client record in a round directory
+that holds a global.rec, so records left by a crash before the unlinks
+stay hidden.
 
 Every OSError is a BackendUnavailableError, except a missing record on
 ``get`` (NotFoundError) and an existing one on ``link`` (DuplicateKeyError).
@@ -205,9 +206,14 @@ class FilesystemStore(ModelStore):
         path = self._record_path(key)
         with self._available():
             try:
-                return _read_record(path, key)
+                record = _read_record(path, key)
             except FileNotFoundError:
                 raise NotFoundError(f"{key} not in {self.namespace!r}") from None
+            # Checked after the read, as a client put checks after its link:
+            # a round closed by then is retired, even if a crash left the file.
+            if not key.is_global and (path.parent / GLOBAL_RECORD).is_file():
+                raise NotFoundError(f"{key} is in a closed round in {self.namespace!r}")
+            return record
 
     def fetch_round(self, round_number: int, expected_clients: int) -> list[ModelRecord]:
         check_fetch_round_args(round_number)

@@ -108,6 +108,9 @@ def generate_key(rng_seed: int | None = None) -> FernetKey:
     """Fresh key from OS entropy, or from a seeded PRNG (test use only)."""
     if rng_seed is None:
         return FernetKey.from_bytes(os.urandom(32))
+    # random.Random seeds from the absolute value, so -s would give s's key.
+    if rng_seed < 0:
+        raise ValidationError(f"rng_seed must be >= 0, got {rng_seed}")
     return FernetKey.from_bytes(random.Random(rng_seed).randbytes(32))
 
 

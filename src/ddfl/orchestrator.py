@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ValidationError("n_clients must be at least 1")
         if self.rounds < 1:
             raise ValidationError("rounds must be at least 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.barrier_timeout_ms <= 0:
             raise ValidationError("barrier_timeout_ms must be positive")
 

@@ -4,17 +4,27 @@ Records follow a four-column schema: round number, encrypted model
 payload, optional testing accuracy, and optional elapsed time. Every
 record is addressed by (client_id, round) within a namespace; the
 reserved client id -1 marks global models and renders as "global".
+Keys and ``stored_at`` lie below 2**63 and ``elapsed_ms`` is finite, so
+every backend can store every record that constructs.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 import time
 from dataclasses import dataclass
 
 from .errors import ValidationError
 
 GLOBAL_CLIENT_ID = -1
+
+
+def _check_range(name: str, value: int, least: int) -> None:
+    # Keys and ``stored_at`` must fit the relational backend's signed 64-bit
+    # INTEGER columns, so every backend refuses larger values.
+    if not (least <= value < 2**63):
+        raise ValidationError(f"{name} must be in [{least}, 2**63), got {value}")
 
 
 def now_ms() -> int:
@@ -27,16 +37,11 @@ class StoreKey:
     round: int
 
     def __post_init__(self):
-        if self.client_id < GLOBAL_CLIENT_ID:
-            raise ValidationError(f"client_id must be >= -1, got {self.client_id}")
+        _check_range("client_id", self.client_id, GLOBAL_CLIENT_ID)
         # Client rounds start at 1. Round 0 is allowed only for the global
         # slot, which holds the master's initial model.
         min_round = 0 if self.client_id == GLOBAL_CLIENT_ID else 1
-        if self.round < min_round:
-            raise ValidationError(
-                f"round must be >= {min_round} for client_id {self.client_id}, "
-                f"got {self.round}"
-            )
+        _check_range("round", self.round, min_round)
 
     @property
     def is_global(self) -> bool:
@@ -64,10 +69,9 @@ class ModelRecord:
             raise ValidationError("record payload must not be empty")
         if self.accuracy is not None and not (0.0 <= self.accuracy <= 1.0):
             raise ValidationError(f"accuracy must be in [0, 1], got {self.accuracy}")
-        if self.elapsed_ms is not None and self.elapsed_ms < 0:
-            raise ValidationError(f"elapsed_ms must be >= 0, got {self.elapsed_ms}")
-        if self.stored_at < 0:
-            raise ValidationError("stored_at must be >= 0")
+        if self.elapsed_ms is not None and not (0 <= self.elapsed_ms < math.inf):
+            raise ValidationError(f"elapsed_ms must be finite and >= 0, got {self.elapsed_ms}")
+        _check_range("stored_at", self.stored_at, 0)
 
 
 class ModelStore(abc.ABC):
@@ -129,5 +133,4 @@ def check_namespace(namespace: str) -> None:
 
 
 def check_fetch_round_args(round_number: int) -> None:
-    if round_number < 1:
-        raise ValidationError(f"fetch_round needs round >= 1, got {round_number}")
+    _check_range("fetch_round's round", round_number, 1)

@@ -56,6 +56,12 @@ def test_seeded_key_deterministic():
     assert generate_key(rng_seed=3) != generate_key(rng_seed=4)
 
 
+def test_negative_key_seed_rejected():
+    # random.Random seeds from the absolute value, so -1 would give seed 1's key.
+    with pytest.raises(ValidationError, match="rng_seed"):
+        generate_key(rng_seed=-1)
+
+
 def test_unseeded_keys_differ():
     assert generate_key() != generate_key()
 

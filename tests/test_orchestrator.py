@@ -411,6 +411,9 @@ def test_config_validation():
         memory_cfg(rounds=0)
     with pytest.raises(ValidationError):
         memory_cfg(barrier_timeout_ms=0)
+    # -1 must fail here, not once the run starts in numpy's untyped seeding error.
+    with pytest.raises(ValidationError, match="seed"):
+        memory_cfg(seed=-1)
 
 
 @pytest.mark.parametrize("barrier_timeout_ms", [500, 30_000])

@@ -1,3 +1,4 @@
+import math
 import os
 import shutil
 import sqlite3
@@ -250,6 +251,41 @@ def test_record_validation():
         ModelRecord(key=StoreKey(0, 1), payload=b"x", elapsed_ms=-1.0)
 
 
+UNSTORABLE = {
+    "elapsed_ms=nan": lambda store: store.put(record(0, 1, elapsed_ms=math.nan)),
+    "elapsed_ms=inf": lambda store: store.put(record(0, 1, elapsed_ms=math.inf)),
+    "stored_at=2**63": lambda store: store.put(ModelRecord(StoreKey(0, 1), b"x", stored_at=2**63)),
+    "stored_at=2**64": lambda store: store.put(ModelRecord(StoreKey(0, 1), b"x", stored_at=2**64)),
+    "round=2**63": lambda store: store.put(record(0, 2**63)),
+    "client_id=2**63": lambda store: store.put(record(2**63, 1)),
+    "fetch_round=2**63": lambda store: store.fetch_round(2**63, 1),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+@pytest.mark.parametrize("call", UNSTORABLE.values(), ids=UNSTORABLE.keys())
+def test_what_some_backend_cannot_store_is_invalid_on_every_backend(call, kind, tmp_path):
+    """Every backend stores the same records: none may take one another cannot."""
+    store = open_backend(make_config(kind, tmp_path))
+    with pytest.raises(ValidationError):
+        call(store)
+    store.close()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+def test_largest_keys_and_stored_at_round_trip(kind, tmp_path):
+    big = 2**63 - 1
+    store = open_backend(make_config(kind, tmp_path))
+    rec = ModelRecord(StoreKey(big, big), b"x", elapsed_ms=1.5, stored_at=big)
+    store.put(rec)
+    assert store.get(rec.key) == rec
+    assert store.fetch_round(big, 1) == [rec]
+    store.put(ModelRecord(global_key(big), b"g", stored_at=big))
+    assert store.get(global_key(big)).stored_at == big
+    assert store.latest_round() == big
+    store.close()
+
+
 def test_memory_backend_not_durable(tmp_path):
     cfg = make_config(BackendKind.MEMORY, tmp_path)
     store = open_backend(cfg)
@@ -389,6 +425,39 @@ def test_filesystem_crash_between_write_and_publish(tmp_path, monkeypatch):
     # The slot is still usable afterwards.
     store.put(record(0, 1, payload=b"second attempt"))
     assert store.get(StoreKey(0, 1)).payload == b"second attempt"
+
+
+def test_filesystem_crash_before_retiring_leaves_the_round_closed(tmp_path, monkeypatch):
+    """A crash between a global's link and its unlinks hides the round's records."""
+    cfg = make_config(BackendKind.FILESYSTEM, tmp_path)
+    store = open_backend(cfg)
+    store.put(record(0, 1))
+
+    class SimulatedCrash(RuntimeError):
+        pass
+
+    real_unlink = os.unlink
+
+    def crashing_unlink(path, *a, **kw):
+        if os.path.basename(path) == "0.rec":
+            raise SimulatedCrash()
+        return real_unlink(path, *a, **kw)
+
+    monkeypatch.setattr(fs_mod.os, "unlink", crashing_unlink)
+    with pytest.raises(SimulatedCrash):
+        store.put(global_record(1))
+    monkeypatch.undo()
+    store.close()
+
+    reopened = open_backend(cfg)
+    assert (tmp_path / "t" / "1" / "0.rec").is_file()
+    assert reopened.fetch_round(1, 1) == []
+    with pytest.raises(NotFoundError):
+        reopened.get(StoreKey(0, 1))
+    with pytest.raises(DuplicateKeyError):
+        reopened.put(record(1, 1))
+    assert reopened.get(global_key(1)).payload == b"global"
+    reopened.close()
 
 
 def break_namespace(ns_dir, fault):
