@@ -207,7 +207,9 @@ class FilesystemStore(ModelStore):
         with self._available():
             try:
                 record = _read_record(path, key)
-            except FileNotFoundError:
+            # A directory where the record belongs, or a file where its round
+            # directory belongs, is a stray entry, which the other reads skip.
+            except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
                 raise NotFoundError(f"{key} not in {self.namespace!r}") from None
             # Checked after the read, as a client put checks after its link:
             # a round closed by then is retired, even if a crash left the file.

@@ -1,13 +1,15 @@
 """Line-oriented experiment config files: ``key = value``, ``#`` comments.
 
-The key set is closed: an unknown key is an error naming the key and line
-number, as is a key set twice, and commands report missing required keys
-by name. ``KEYS`` is the one table of keys, and ``read`` the one reader of
-a value.
+A ``#`` starts a comment only at the start of a line or after whitespace,
+so ``root_path = runs/exp#3`` keeps its ``#``. The key set is closed: an
+unknown key is an error naming the key and line number, as is a key set
+twice, and commands report missing required keys by name. ``KEYS`` is the
+one table of keys, and ``read`` the one reader of a value.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
@@ -20,6 +22,7 @@ from .orchestrator import ExperimentConfig
 from .training import TrainConfig
 
 _REQUIRED = object()
+_COMMENT = re.compile(r"(?:^|\s)#")
 _BOOLEANS = dict.fromkeys(("true", "yes", "1", "on"), True)
 _BOOLEANS.update(dict.fromkeys(("false", "no", "0", "off"), False))
 # How each kind of value is read: what it must be, and the function that
@@ -36,21 +39,20 @@ _KINDS = {
 class _Key(NamedTuple):
     kind: str
     default: object = _REQUIRED
-    least: int | None = None
 
 
 _EXPERIMENT = {f.name: f.default for f in fields(ExperimentConfig)}
 _BACKEND = {f.name: f.default for f in fields(BackendConfig)}
 
-# Every config key, once: how its value is read, its default, and its least
-# value. A default that a config dataclass also declares is read from it.
+# Every config key, once: how its value is read, and its default. A default
+# that a config dataclass also declares is read from it, as are the bounds.
 KEYS = {
-    "n_clients": _Key("integer", least=1),
-    "rounds": _Key("integer", least=1),
+    "n_clients": _Key("integer"),
+    "rounds": _Key("integer"),
     "learning_rate": _Key("number", 0.1),
-    "epochs": _Key("integer", 1, least=0),
-    "batch_size": _Key("integer", 32, least=1),
-    "seed": _Key("integer", _EXPERIMENT["seed"], least=0),
+    "epochs": _Key("integer", 1),
+    "batch_size": _Key("integer", 32),
+    "seed": _Key("integer", _EXPERIMENT["seed"]),
     "backend": _Key("text"),
     "root_path": _Key("path", None),
     "fsync": _Key("boolean", _BACKEND["fsync"]),
@@ -59,7 +61,7 @@ KEYS = {
     "idx_labels": _Key("path"),
     "group_key": _Key("text", None),
     "namespace": _Key("text", _BACKEND["namespace"]),
-    "barrier_timeout_ms": _Key("integer", _EXPERIMENT["barrier_timeout_ms"], least=1),
+    "barrier_timeout_ms": _Key("integer", _EXPERIMENT["barrier_timeout_ms"]),
 }
 KNOWN_KEYS = frozenset(KEYS)
 
@@ -73,7 +75,7 @@ def parse_config_file(path) -> dict[str, str]:
     values = {}
     lines = {}
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw_line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -96,7 +98,7 @@ def parse_config_file(path) -> dict[str, str]:
 
 def read(values: dict[str, str], key: str):
     """The value of ``key`` as its table entry reads it, or its default."""
-    kind, default, least = KEYS[key]
+    kind, default = KEYS[key]
     if key not in values:
         if default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
@@ -104,12 +106,9 @@ def read(values: dict[str, str], key: str):
     raw = values[key]
     expected, reader = _KINDS[kind]
     try:
-        value = reader(raw)
+        return reader(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"key {key!r} must be {expected}, got {raw!r}") from None
-    if least is not None and value < least:
-        raise ConfigError(f"key {key!r} must be >= {least}, got {value}")
-    return value
 
 
 def parse_dataset_spec(value: str, values: dict[str, str]) -> SyntheticSpec | IdxSpec:
@@ -160,7 +159,10 @@ def group_key_from(values: dict[str, str]) -> FernetKey:
     # of the same config can decrypt each other's stores.
     encoded = read(values, "group_key")
     if encoded is None:
-        return generate_key(rng_seed=read(values, "seed"))
+        try:
+            return generate_key(rng_seed=read(values, "seed"))
+        except ValidationError as exc:
+            raise ConfigError(f"key 'seed': {exc}") from exc
     try:
         return FernetKey.from_encoded(encoded)
     except ValidationError as exc:

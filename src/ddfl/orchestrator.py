@@ -56,13 +56,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.n_clients < 1:
-            raise ValidationError("n_clients must be at least 1")
+            raise ValidationError(f"n_clients must be at least 1, got {self.n_clients}")
         if self.rounds < 1:
-            raise ValidationError("rounds must be at least 1")
+            raise ValidationError(f"rounds must be at least 1, got {self.rounds}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.barrier_timeout_ms <= 0:
-            raise ValidationError("barrier_timeout_ms must be positive")
+            raise ValidationError(
+                f"barrier_timeout_ms must be positive, got {self.barrier_timeout_ms}"
+            )
 
 
 @dataclass(frozen=True)

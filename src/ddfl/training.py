@@ -1,5 +1,6 @@
 """Multinomial logistic regression: mini-batch SGD training and evaluation.
 
+The model is one dense layer, the one a ``ParameterVector`` holds.
 Parameters and features stay float32; all loss and gradient sums
 accumulate in float64, and each SGD step rounds back to float32. One
 float64 kernel, ``_softmax_cross_entropy``, forms the loss and its
@@ -7,9 +8,12 @@ gradient: ``local_train`` calls it on each mini-batch and
 ``loss_and_gradient`` on a whole dataset, so SGD steps along exactly the
 gradient that the finite-difference checks verify. Local SGD gathers each
 mini-batch's float32 rows and only then converts them to float64, which is
-exact, so no float64 copy of a whole shard is made. ``evaluate`` computes
-only the accuracy, from one float32 product. With a fixed seed the batch
-order, and therefore every parameter bit, is reproducible.
+exact, so no float64 copy of a whole shard is made. It updates ``W`` and
+``b`` as views into one float64 copy of the flat parameter vector, and
+each step rounds that copy through one float32 copy, which is the result.
+``evaluate`` computes only the accuracy, from one float32 product. With a
+fixed seed the batch order, and therefore every parameter bit, is
+reproducible.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (0 <= self.seed < 2**64):
-            raise ValidationError("seed must fit in 64 unsigned bits")
+            raise ValidationError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -49,11 +53,7 @@ class EvalResult:
 
 
 def _check_shapes(params: ParameterVector, data: Dataset) -> None:
-    if len(params.shapes) != 1:
-        raise ValidationError(
-            f"expected a single dense layer, got {len(params.shapes)} layers"
-        )
-    d, k = params.shapes[0]
+    ((d, k),) = params.shapes
     if d != data.dim or k != data.num_classes:
         raise ValidationError(
             f"model is {d}x{k} but data has {data.dim} features / {data.num_classes} classes"
@@ -110,22 +110,21 @@ def local_train(params: ParameterVector, data: Dataset, cfg: TrainConfig) -> Par
     """Run seeded mini-batch SGD and return the updated parameters.
 
     The input vector is never modified. ``epochs == 0`` returns a bitwise
-    copy of the input: no step overwrites the scratch copies it starts from.
+    copy of the input: no step overwrites the float32 copy it starts from.
     """
     _check_shapes(params, data)
     n = len(data)
     if cfg.batch_size > n:
         raise ValidationError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
     rng = np.random.default_rng(cfg.seed)
-    # float64 arrays that always hold float32-rounded values: the float32
-    # parameter bits, converted once per step instead of once per use.
-    w0, b0 = params.layer(0)
-    w = w0.astype(np.float64)
-    b = b0.astype(np.float64)
-    # Each step rounds through these float32 scratch arrays, which hold the
-    # result once training ends.
-    w32 = w0.copy()
-    b32 = b0.copy()
+    # Each step rounds ``values`` through ``values32``, the result, so the
+    # float64 copy always holds the float32 parameter bits, converted once
+    # per step instead of once per use. ``w`` and ``b`` are views into it.
+    values32 = params.values.copy()
+    values = values32.astype(np.float64)
+    ((d, k),) = params.shapes
+    w = values[: d * k].reshape(d, k)
+    b = values[d * k :]
     lr = float(cfg.learning_rate)
 
     for epoch in range(cfg.epochs):
@@ -143,14 +142,12 @@ def local_train(params: ParameterVector, data: Dataset, cfg: TrainConfig) -> Par
             grad_b *= lr
             w -= grad_w
             b -= grad_b
-            np.copyto(w32, w, casting="same_kind")
-            np.copyto(b32, b, casting="same_kind")
-            np.copyto(w, w32)
-            np.copyto(b, b32)
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            np.copyto(values32, values, casting="same_kind")
+            np.copyto(values, values32)
+        if not np.all(np.isfinite(values)):
             raise NumericError(f"non-finite parameters after epoch {epoch}")
 
-    return ParameterVector(np.concatenate([w32.reshape(-1), b32]), params.shapes)
+    return ParameterVector(values32, params.shapes)
 
 
 def evaluate(params: ParameterVector, data: Dataset) -> EvalResult:

@@ -124,6 +124,17 @@ def test_run_namespace_outside_root_exit_2(namespace, tmp_path, capsys):
     assert not any(root.iterdir())
 
 
+def test_run_root_path_with_hash_is_not_cut(tmp_path):
+    """The store lands under ``st#x``, not under ``st``, which also exists."""
+    (tmp_path / "st#x").mkdir()
+    (tmp_path / "st").mkdir()
+    text = BASE.replace("backend = memory", "backend = filesystem")
+    text += f"root_path = {tmp_path / 'st#x'}\n"
+    assert main(["run", write_config(tmp_path, text)]) == EXIT_OK
+    assert (tmp_path / "st#x" / "default" / "3" / "global.rec").is_file()
+    assert not any((tmp_path / "st").iterdir())
+
+
 def test_run_missing_root_exit_3(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -194,6 +205,13 @@ def test_bench_comm_without_dataset_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.replace("dataset = synthetic:200x4x2\n", ""))
     assert main(["bench-comm", cfg]) == EXIT_CONFIG
     assert "missing required key 'dataset'" in capsys.readouterr().err
+
+
+def test_bench_comm_negative_seed_exit_2(tmp_path, capsys):
+    """bench-comm derives its group key from the seed, so it checks the seed's bound."""
+    cfg = write_config(tmp_path, BASE.replace("seed = 7", "seed = -1"))
+    assert main(["bench-comm", cfg]) == EXIT_CONFIG
+    assert "seed" in capsys.readouterr().err
 
 
 def test_bench_scale_idx_dataset_exit_2(tmp_path, capsys):

@@ -181,6 +181,13 @@ def test_group_key_only_in_canonical_spelling(spelling):
         group_key_from({"group_key": spelling})
 
 
+def test_hash_inside_a_value_is_not_a_comment(tmp_path):
+    """A '#' starts a comment only at the start of a line or after whitespace."""
+    text = "  # an indented comment\nnamespace = exp#3\nbackend = memory # inline\n"
+    values = parse_config_file(write_config(tmp_path, text))
+    assert values == {"namespace": "exp#3", "backend": "memory"}
+
+
 def test_bad_line_shape(tmp_path):
     with pytest.raises(ConfigError, match=":1"):
         parse_config_file(write_config(tmp_path, "just some words\n"))

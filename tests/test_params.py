@@ -40,7 +40,7 @@ def test_init_model_different_seeds_differ():
     assert init_model([(4, 3)], seed=1) != init_model([(4, 3)], seed=2)
 
 
-@pytest.mark.parametrize("spec", [[], [(0, 3)], [(3, 0)]])
+@pytest.mark.parametrize("spec", [[], [(0, 3)], [(3, 0)], [(3, 2), (2, 5)]])
 def test_init_model_invalid_spec(spec):
     with pytest.raises(ValidationError):
         init_model(spec, seed=0)
@@ -51,6 +51,8 @@ def test_parameter_vector_validation():
         ParameterVector(np.zeros(14, dtype=np.float32), ((4, 3),))  # needs 15
     with pytest.raises(ValidationError):
         ParameterVector(np.array([np.nan] * 15, dtype=np.float32), ((4, 3),))
+    with pytest.raises(ValidationError, match="one dense layer"):
+        ParameterVector(np.zeros(8 + 15, dtype=np.float32), ((3, 2), (2, 5)))
 
 
 def test_parameter_vector_immutable():
@@ -67,15 +69,28 @@ def test_serialized_length_formula():
 
 
 def test_serialized_bytes_follow_wire_format():
-    model = init_model([(3, 2), (2, 5)], seed=4)
+    model = init_model([(3, 2)], seed=4)
     expected = (
-        b"DDFL\x01\x02\x00"
+        b"DDFL\x01\x01\x00"
         + (3).to_bytes(4, "little") + (2).to_bytes(4, "little")
-        + (2).to_bytes(4, "little") + (5).to_bytes(4, "little")
-        + (model.param_count).to_bytes(8, "little")
+        + (8).to_bytes(8, "little")
         + b"".join(struct.pack("<f", v) for v in model.values.tolist())
     )
     assert serialize_params(model) == expected
+
+
+def test_two_layer_blob_rejected():
+    """A well-formed blob of layers (3, 2) and (2, 5) is refused on its layer count."""
+    values = np.arange(8 + 15, dtype="<f4")
+    blob = (
+        b"DDFL\x01\x02\x00"
+        + (3).to_bytes(4, "little") + (2).to_bytes(4, "little")
+        + (2).to_bytes(4, "little") + (5).to_bytes(4, "little")
+        + (values.size).to_bytes(8, "little")
+        + values.tobytes()
+    )
+    with pytest.raises(FormatError, match="layer count 2"):
+        deserialize_params(blob)
 
 
 def test_roundtrip_simple():

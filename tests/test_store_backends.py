@@ -359,6 +359,27 @@ def test_filesystem_skips_stray_names(stray, tmp_path):
     assert store.latest_round() == 1
 
 
+@pytest.mark.parametrize("key", [StoreKey(3, 1), global_key(1)], ids=["client", "global"])
+@pytest.mark.parametrize("entry", ["record_is_a_directory", "round_is_a_file"])
+def test_filesystem_get_of_a_stray_entry_is_not_found(entry, key, tmp_path):
+    """``get`` skips a stray entry as ``fetch_round`` and ``latest_round`` do.
+
+    A directory at the record's path, or a regular file at its round's
+    path, holds no record: that is ``NotFoundError``, not an outage.
+    """
+    store = FilesystemStore(tmp_path, "ns")
+    round_dir = tmp_path / "ns" / "1"
+    if entry == "round_is_a_file":
+        round_dir.write_bytes(b"not a round")
+    else:
+        name = fs_mod.GLOBAL_RECORD if key.is_global else f"{key.client_id}.rec"
+        (round_dir / name).mkdir(parents=True)
+    assert store.fetch_round(1, 4) == []
+    assert store.latest_round() == 0
+    with pytest.raises(NotFoundError):
+        store.get(key)
+
+
 def test_filesystem_corrupt_record_detected(tmp_path):
     store = FilesystemStore(tmp_path, "ns")
     rec = record(1, 1)
