@@ -1,8 +1,9 @@
 """Benchmark suites: query latency, communication cost, and scalability.
 
-All timings use the monotonic clock; per-item latencies are the median
-over repeated measurements to damp scheduler noise. Every timing row
-carries an explicit unit.
+All timings use the monotonic clock. Query and communication latencies
+are the median over repeated measurements to damp scheduler noise; a
+scalability point is the fastest of its repeated runs, since a host
+stall only ever slows a run. Every timing row carries an explicit unit.
 """
 
 from __future__ import annotations
@@ -128,11 +129,12 @@ def bench_scale(
 ) -> MetricsReport:
     """Total experiment wall time per (backend, client count).
 
-    ``base.dataset`` must be a SyntheticSpec. Each point is the median of
-    ``REPETITIONS`` runs, each in a fresh namespace. A backend's points run
-    round-robin, one run of each per pass, so that a stall or drift of the
-    host falls on every point alike instead of deciding one; a point whose
-    run fails reads ``failed:<ErrorClassName>``. By default the dataset
+    ``base.dataset`` must be a SyntheticSpec. Each point is the fastest of
+    ``REPETITIONS`` runs, each in a fresh namespace: a stall of the host
+    can only slow a run, so it cannot lower a point below its true time.
+    A backend's points run round-robin, one run of each per pass, so that
+    a drift of the host falls on every point alike; a point whose run
+    fails reads ``failed:<ErrorClassName>``. By default the dataset
     size stays fixed, so shards shrink as clients grow. With
     ``fixed_shard`` each client keeps the same shard size and the total
     dataset grows, so total work is non-decreasing in N.
@@ -169,6 +171,6 @@ def bench_scale(
                     failed[n_clients] = f"failed:{type(exc).__name__}"
         for n_clients in client_counts:
             param = f"clients={n_clients};fixed_shard={str(fixed_shard).lower()}"
-            value = failed.get(n_clients) or statistics.median(times[n_clients])
+            value = failed.get(n_clients) or min(times[n_clients])
             report.add("scale_total_time", backend_cfg.kind.value, dataset_label, param, value, "s")
     return report

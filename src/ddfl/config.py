@@ -61,7 +61,6 @@ KEYS = {
     "idx_labels": _Key("path"),
     "group_key": _Key("text", None),
     "namespace": _Key("text", _BACKEND["namespace"]),
-    "barrier_timeout_ms": _Key("integer", _EXPERIMENT["barrier_timeout_ms"]),
 }
 KNOWN_KEYS = frozenset(KEYS)
 
@@ -197,7 +196,6 @@ def experiment_config(values: dict[str, str]) -> ExperimentConfig:
             group_key=group_key_from(values),
             dataset=dataset,
             seed=seed,
-            barrier_timeout_ms=read(values, "barrier_timeout_ms"),
         )
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc

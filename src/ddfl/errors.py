@@ -70,12 +70,9 @@ class CorruptRecordError(StoreError):
 # --- orchestration ---------------------------------------------------------
 
 class BarrierTimeoutError(DDFLError):
-    """Not every client stored its model for a round before the barrier deadline."""
+    """The master read a round in which some of its clients had stored no model."""
 
     def __init__(self, round_number: int, missing_clients: list[int]):
         self.round_number = round_number
         self.missing_clients = list(missing_clients)
-        super().__init__(
-            f"round {round_number} barrier timed out; "
-            f"missing clients {self.missing_clients}"
-        )
+        super().__init__(f"round {round_number} is missing clients {self.missing_clients}")

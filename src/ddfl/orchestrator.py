@@ -2,14 +2,14 @@
 
 Each round, every client fetches the previous global model, decrypts it,
 trains on its own shard, and stores its encrypted local model. The master
-polls until the records of clients 0..N-1 exist (the barrier), decrypts
-and aggregates them, evaluates the new global on the test set, and stores
-it encrypted with accuracy and elapsed time filled in.
+then reads the round's records of clients 0..N-1 once, decrypts and
+aggregates them, evaluates the new global on the test set, and stores it
+encrypted with accuracy and elapsed time filled in.
 
 ``run_experiment`` runs each round's clients one after another in the
 caller's thread, then the master's ``run_round``; a crashing client
-therefore fails the round at once. ``run_round`` keeps its barrier for
-clients driven from elsewhere. Model values are fully deterministic for
+therefore fails the round at once, and a client missing from the round
+fails ``run_round`` at once. Model values are fully deterministic for
 fixed seeds; only timings vary.
 """
 
@@ -32,12 +32,11 @@ from .training import TrainConfig, evaluate, local_train
 
 log = logging.getLogger(__name__)
 
-# How long the barrier sleeps between two fetch_round polls.
-POLL_INTERVAL_MS = 5.0
 
-
-# Clients are always weighted by their sample counts. The enum and
-# ExperimentConfig.aggregation stay only because the round benchmark passes them.
+# Clients are always weighted by their sample counts, and the master reads
+# a round once. The enum, ExperimentConfig.aggregation and the unread
+# ExperimentConfig.barrier_timeout_ms stay only because the round benchmark
+# passes them.
 class Aggregation(enum.Enum):
     SAMPLE_WEIGHTED = "sample_weighted"
 
@@ -61,10 +60,6 @@ class ExperimentConfig:
             raise ValidationError(f"rounds must be at least 1, got {self.rounds}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.barrier_timeout_ms <= 0:
-            raise ValidationError(
-                f"barrier_timeout_ms must be positive, got {self.barrier_timeout_ms}"
-            )
 
 
 @dataclass(frozen=True)
@@ -76,10 +71,10 @@ class RoundOutcome:
 
     bytes_written = sum of the N client token lengths + the new global token;
     bytes_read    = N downloads of the previous global token + the master's
-                    reads of the N client tokens. Barrier polls are not
-                    counted, nor is the master's own read of the previous
-                    global, so the store serves one more global token a
-                    round than ``bytes_read`` reports.
+                    reads of the N client tokens. The master's own read
+                    of the previous global is not counted, so the store
+                    serves one more global token a round than
+                    ``bytes_read`` reports.
     """
 
     round: int
@@ -168,30 +163,6 @@ def run_client_round(
     return elapsed_ms
 
 
-def _await_round(
-    store: ModelStore, round_number: int, expected: int, timeout_ms: float
-) -> list[ModelRecord]:
-    """The records of clients 0..expected-1, sorted by client id.
-
-    Records of other clients are ignored, so a stray or extra record can
-    neither complete the barrier nor enter the aggregate.
-    """
-    deadline = time.monotonic() + timeout_ms / 1000.0
-    while True:
-        records = [
-            rec
-            for rec in store.fetch_round(round_number, expected)
-            if rec.key.client_id < expected
-        ]
-        if len(records) == expected:
-            return records
-        if time.monotonic() >= deadline:
-            present = {rec.key.client_id for rec in records}
-            missing = sorted(set(range(expected)) - present)
-            raise BarrierTimeoutError(round_number, missing)
-        time.sleep(POLL_INTERVAL_MS / 1000.0)
-
-
 def run_round(
     round_number: int,
     store: ModelStore,
@@ -200,7 +171,13 @@ def run_round(
     shard_sizes: list[int],
     round_started: float | None = None,
 ) -> RoundOutcome:
-    """Master's side of one round: barrier, aggregate, evaluate, publish.
+    """Master's side of one round: read, aggregate, evaluate, publish.
+
+    Reads the round's client records once; records of clients outside
+    0..N-1 are ignored, so a stray or extra record can neither stand in for
+    a missing client nor enter the aggregate. If any of clients 0..N-1 has
+    no record, raises ``BarrierTimeoutError`` naming them and publishes
+    nothing.
 
     ``shard_sizes[c]`` is client c's sample count, its weight in the
     aggregate. ``round_started`` is the
@@ -212,7 +189,14 @@ def run_round(
     start = time.perf_counter() if round_started is None else round_started
     if len(shard_sizes) != cfg.n_clients:
         raise ValidationError(f"{len(shard_sizes)} shard sizes for {cfg.n_clients} clients")
-    records = _await_round(store, round_number, cfg.n_clients, cfg.barrier_timeout_ms)
+    records = [
+        rec
+        for rec in store.fetch_round(round_number, cfg.n_clients)
+        if rec.key.client_id < cfg.n_clients
+    ]
+    if len(records) != cfg.n_clients:
+        present = {rec.key.client_id for rec in records}
+        raise BarrierTimeoutError(round_number, sorted(set(range(cfg.n_clients)) - present))
     previous = store.get(global_key(round_number - 1))
     models = [model_of(rec, cfg.group_key) for rec in records]
     weights = [float(shard_sizes[rec.key.client_id]) for rec in records]
@@ -234,7 +218,12 @@ def run_round(
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RoundOutcome]:
-    """Run the full protocol: round-0 global, then R rounds of train/aggregate/evaluate."""
+    """Run the full protocol: round-0 global, then R rounds of train/aggregate/evaluate.
+
+    Each round runs its N clients in turn, then ``run_round``. The clients
+    have all stored their models before the master reads the round, so the
+    master reads it once and waits for nothing.
+    """
     train, test = build_datasets(cfg)
     shards = partition(train, cfg.n_clients)
     shard_sizes = [len(s) for s in shards]

@@ -107,8 +107,8 @@ class ModelStore(abc.ABC):
     def fetch_round(self, round_number: int, expected_clients: int) -> list[ModelRecord]:
         """All client records for a round, sorted by client_id.
 
-        May return fewer than ``expected_clients`` records; the caller owns
-        the barrier.
+        May return fewer than ``expected_clients`` records; the caller checks
+        that the round is complete.
         """
 
     @abc.abstractmethod

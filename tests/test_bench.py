@@ -109,7 +109,7 @@ def test_scale_records_failures_per_row(tmp_path, base_experiment):
     assert str(report.rows[0].value).startswith("failed:")
 
 
-def test_scale_reports_median_of_repeated_runs(monkeypatch, base_experiment):
+def test_scale_reports_fastest_of_repeated_runs(monkeypatch, base_experiment):
     # Run times per client count; one stall of 9 s must not decide a point.
     durations = {2: [0.5, 0.1, 9.0, 0.3, 0.2], 4: [0.6, 0.7, 0.4, 9.0, 0.8]}
     clock = types.SimpleNamespace(now=0.0)
@@ -126,6 +126,6 @@ def test_scale_reports_median_of_repeated_runs(monkeypatch, base_experiment):
     assert {n: len(set(namespaces)) for n, namespaces in runs.items()} == {2: 5, 4: 5}
     values = {row.param: row.value for row in report.rows}
     assert values == {
-        "clients=2;fixed_shard=false": pytest.approx(0.3),
-        "clients=4;fixed_shard=false": pytest.approx(0.7),
+        "clients=2;fixed_shard=false": pytest.approx(0.1),
+        "clients=4;fixed_shard=false": pytest.approx(0.4),
     }

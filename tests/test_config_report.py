@@ -5,6 +5,7 @@ import io
 import pytest
 
 from ddfl.backends import BackendConfig, BackendKind
+from ddfl.cli import EXIT_CONFIG, main
 from ddfl.config import (
     backend_kinds,
     experiment_config,
@@ -64,6 +65,13 @@ def test_aggregation_is_an_unknown_key(rule, tmp_path):
         parse_config_file(path)
 
 
+# The master reads each round once and waits for nothing, so the key is gone.
+def test_barrier_timeout_ms_is_an_unknown_key(tmp_path, capsys):
+    path = write_config(tmp_path, GOOD + "barrier_timeout_ms = 30000\n")
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert ":11: unknown key 'barrier_timeout_ms'" in capsys.readouterr().err
+
+
 def test_repeated_key_names_key_and_both_lines(tmp_path):
     path = write_config(tmp_path, "rounds = 1\nbackend = memory\nrounds = 3\n")
     with pytest.raises(ConfigError, match=r":3: key 'rounds' already set on line 1"):
@@ -91,7 +99,6 @@ INTEGER_KEYS = {
     "epochs": 0,
     "batch_size": 1,
     "seed": 0,
-    "barrier_timeout_ms": 1,
 }
 
 

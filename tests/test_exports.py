@@ -4,7 +4,7 @@ from pathlib import Path
 
 import ddfl
 from ddfl.backends.filesystem import FilesystemStore
-from ddfl.config import experiment_config, parse_config_file
+from ddfl.config import KEYS, experiment_config, parse_config_file
 from ddfl.store import ModelRecord, StoreKey, global_key
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,13 +48,24 @@ def test_readme_quick_start_runs():
     exec(compile(blocks[0], f"{README}:quick start", "exec"), {})
 
 
-def test_readme_config_example_parses(tmp_path):
+def readme_ini_block():
     blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.DOTALL)
     assert len(blocks) == 1, f"expected one ini block in README, found {len(blocks)}"
+    return blocks[0]
+
+
+def test_readme_config_example_parses(tmp_path):
     path = tmp_path / "readme.cfg"
-    path.write_text(blocks[0], encoding="utf-8")
+    path.write_text(readme_ini_block(), encoding="utf-8")
     cfg = experiment_config(parse_config_file(path))
     assert cfg.n_clients == 8 and cfg.rounds == 10
+
+
+def test_readme_config_example_names_every_key_once():
+    # A key line is set, or commented out at the start of its line; an
+    # indented comment continues the line above it.
+    named = re.findall(r"^(?:#\s*)?(\w+)\s*=", readme_ini_block(), re.MULTILINE)
+    assert sorted(named) == sorted(KEYS)
 
 
 def test_readme_filesystem_layout_matches_the_store(tmp_path):

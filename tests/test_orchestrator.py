@@ -1,6 +1,7 @@
 import ast
 import collections
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from ddfl.orchestrator import (
 )
 from ddfl.params import ParameterVector, init_model
 from ddfl.store import StoreKey, global_key, now_ms
-from ddfl.training import TrainConfig
+from ddfl.training import TrainConfig, evaluate, local_train
 from test_data import write_idx_pair
 from test_store_backends import break_namespace
 
@@ -214,7 +215,7 @@ def test_run_round_epochs_zero_fixed_point():
 
 
 def test_run_round_barrier_timeout_names_missing():
-    cfg = memory_cfg(n_clients=3, barrier_timeout_ms=50)
+    cfg = memory_cfg(n_clients=3)
     store, train, test, initial = setup_store_with_initial(cfg)
     shard = generate_synthetic(50, 4, 2, seed=3)
     run_client_round(1, 1, store, cfg.group_key, shard, cfg.train)  # only client 1
@@ -222,6 +223,28 @@ def test_run_round_barrier_timeout_names_missing():
         run_round(1, store, cfg, test, shard_sizes=[50, 50, 50])
     assert excinfo.value.missing_clients == [0, 2]
     assert "0" in str(excinfo.value) and "2" in str(excinfo.value)
+
+
+def test_run_round_reads_the_round_once_and_never_sleeps(monkeypatch):
+    cfg = memory_cfg(n_clients=3)
+    store, train, test, initial = setup_store_with_initial(cfg)
+    run_client_round(1, 1, store, cfg.group_key, generate_synthetic(50, 4, 2, seed=3), cfg.train)
+    calls = []
+    fetch_round = store.fetch_round
+
+    def counting_fetch_round(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fetch_round(*args, **kwargs)
+
+    def no_sleep(seconds):
+        raise AssertionError(f"run_round slept {seconds} s")
+
+    monkeypatch.setattr(store, "fetch_round", counting_fetch_round)
+    monkeypatch.setattr(orchestrator.time, "sleep", no_sleep)
+    with pytest.raises(BarrierTimeoutError) as excinfo:
+        run_round(1, store, cfg, test, shard_sizes=[50, 50, 50])
+    assert excinfo.value.missing_clients == [0, 2]
+    assert calls == [((1, 3), {})]
 
 
 def test_run_round_rejects_shard_sizes_for_another_client_count():
@@ -247,7 +270,7 @@ def test_run_round_global_record_has_schema_columns():
 
 
 def test_run_round_stray_client_does_not_stand_in_for_a_missing_one():
-    cfg = memory_cfg(n_clients=3, barrier_timeout_ms=50)
+    cfg = memory_cfg(n_clients=3)
     store, train, test, initial = setup_store_with_initial(cfg)
     shard = generate_synthetic(50, 4, 2, seed=3)
     for cid in (0, 1, 5):
@@ -261,9 +284,8 @@ def test_run_round_stray_client_does_not_stand_in_for_a_missing_one():
 
 @pytest.mark.parametrize("fault", ["removed", "replaced_by_file"])
 def test_run_round_on_a_broken_filesystem_namespace_fails_fast(fault, tmp_path):
-    """An unavailable backend fails the barrier at once instead of waiting it out."""
+    """An unavailable backend fails the round's read at once."""
     cfg = memory_cfg(
-        barrier_timeout_ms=5_000,
         backend=BackendConfig(kind=BackendKind.FILESYSTEM, root_path=tmp_path, namespace="ns"),
     )
     store, train, test, initial = setup_store_with_initial(cfg)
@@ -271,7 +293,7 @@ def test_run_round_on_a_broken_filesystem_namespace_fails_fast(fault, tmp_path):
     started = time.monotonic()
     with pytest.raises(BackendUnavailableError):
         run_round(1, store, cfg, test, shard_sizes=[100, 100])
-    assert time.monotonic() - started < cfg.barrier_timeout_ms / 1000 / 10
+    assert time.monotonic() - started < 0.5
 
 
 # --- full experiment -----------------------------------------------------------------
@@ -294,6 +316,68 @@ def test_experiment_deterministic():
     a = [o.global_accuracy for o in run_experiment(cfg)]
     b = [o.global_accuracy for o in run_experiment(cfg)]
     assert a == b
+
+
+def store_free_rounds(cfg):
+    """The rounds of ``cfg`` with models passed by hand: no store, token or blob.
+
+    Returns the per-round accuracies and the final global.
+    """
+    train, test = build_datasets(cfg)
+    shards = partition(train, cfg.n_clients)
+    model = init_model([(train.dim, train.num_classes)], cfg.seed)
+    accuracies = []
+    for round_number in range(1, cfg.rounds + 1):
+        local_models = [
+            local_train(
+                model,
+                shard,
+                replace(
+                    cfg.train,
+                    batch_size=min(cfg.train.batch_size, len(shard)),
+                    seed=client_seed(cfg.train.seed, round_number, client_id),
+                ),
+            )
+            for client_id, shard in enumerate(shards)
+        ]
+        model = aggregate(local_models, [len(shard) for shard in shards])
+        accuracies.append(evaluate(model, test).accuracy)
+    return accuracies, model
+
+
+@pytest.mark.parametrize("kind", list(BackendKind), ids=lambda kind: kind.value)
+def test_experiment_matches_the_store_free_loop(kind, tmp_path, monkeypatch):
+    # serialize -> encrypt -> store -> decrypt -> deserialize must be
+    # bit-transparent: the store may not change a single model bit.
+    cfg = memory_cfg(
+        n_clients=5,
+        rounds=4,
+        # 128 exceeds every shard of 100 or 101 rows, so the batch is clamped.
+        train=TrainConfig(learning_rate=0.1, epochs=2, batch_size=128, seed=3),
+        backend=BackendConfig(kind=kind, root_path=tmp_path),
+        dataset=SyntheticSpec(n=503, d=9, k=3),
+        seed=2,
+    )
+    finals = []
+
+    def open_recording_final(backend_cfg):
+        store = open_backend(backend_cfg)
+        close = store.close
+
+        def read_final_then_close():
+            finals.append(store.get(global_key(store.latest_round())))
+            close()
+
+        store.close = read_final_then_close
+        return store
+
+    monkeypatch.setattr(orchestrator, "open_backend", open_recording_final)
+    outcomes = run_experiment(cfg)
+    accuracies, final = store_free_rounds(cfg)
+    assert [o.global_accuracy for o in outcomes] == accuracies
+    (record,) = finals
+    assert record.key == global_key(cfg.rounds)
+    assert model_of(record, cfg.group_key).values.tobytes() == final.values.tobytes()
 
 
 def test_experiment_byte_accounting():
@@ -409,8 +493,6 @@ def test_config_validation():
         memory_cfg(n_clients=0)
     with pytest.raises(ValidationError):
         memory_cfg(rounds=0)
-    with pytest.raises(ValidationError):
-        memory_cfg(barrier_timeout_ms=0)
     # -1 must fail here, not once the run starts in numpy's untyped seeding error.
     with pytest.raises(ValidationError, match="seed"):
         memory_cfg(seed=-1)
