@@ -18,15 +18,7 @@ from pathlib import Path
 from .backends import BackendConfig
 from .bench import bench_comm, bench_query, bench_scale
 from .conformance import PropertyResult, check_backend
-from .config import (
-    backend_config,
-    backend_kinds,
-    experiment_config,
-    group_key_from,
-    parse_config_file,
-    parse_dataset_spec,
-    read,
-)
+from .config import backend_kinds, load_config
 from .data import SyntheticSpec
 from .errors import ConfigError, DDFLError
 from .orchestrator import run_experiment
@@ -44,8 +36,9 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def cmd_run(args) -> int:
-    values = parse_config_file(args.config)
-    cfg = experiment_config(values)
+    cfg, backends = load_config(args.config)
+    if len(backends) != 1:
+        raise ConfigError("key 'backend' must name exactly one backend for this command")
     outcomes = run_experiment(cfg)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -62,10 +55,6 @@ def cmd_run(args) -> int:
         )
     _write_output(out.getvalue(), args.out)
     return EXIT_OK
-
-
-def _backend_configs(values) -> list[BackendConfig]:
-    return [backend_config(values, kind) for kind in backend_kinds(values)]
 
 
 def _emit_report(report, args) -> int:
@@ -89,34 +78,30 @@ def _synthetic(spec) -> SyntheticSpec:
 
 
 def cmd_bench_query(args) -> int:
-    values = parse_config_file(args.config)
+    _, backends = load_config(args.config)
     if args.records < 1:
         raise ConfigError(f"--records must be >= 1, got {args.records}")
     if args.payload_bytes < 1:
         raise ConfigError(f"--payload-bytes must be >= 1, got {args.payload_bytes}")
-    report = bench_query(_backend_configs(values), args.records, args.payload_bytes)
+    report = bench_query(backends, args.records, args.payload_bytes)
     return _emit_report(report, args)
 
 
 def cmd_bench_comm(args) -> int:
-    values = parse_config_file(args.config)
-    spec = _synthetic(parse_dataset_spec(read(values, "dataset"), values))
-    report = bench_comm(_backend_configs(values), spec.d, spec.k, group_key_from(values))
+    cfg, backends = load_config(args.config)
+    spec = _synthetic(cfg.dataset)
+    report = bench_comm(backends, spec.d, spec.k, cfg.group_key)
     return _emit_report(report, args)
 
 
 def cmd_bench_scale(args) -> int:
-    values = parse_config_file(args.config)
+    base, backends = load_config(args.config)
     try:
         client_counts = [int(part) for part in args.clients.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"--clients must be a comma list of integers, got {args.clients!r}") from None
     if not client_counts or any(c < 1 for c in client_counts):
         raise ConfigError(f"--clients must name positive client counts, got {args.clients!r}")
-    backends = _backend_configs(values)
-    base_values = dict(values)
-    base_values["backend"] = backends[0].kind.value
-    base = experiment_config(base_values)
     spec = _synthetic(base.dataset)
     # With --fixed-shard the dataset grows with the client count.
     if not args.fixed_shard and max(client_counts) > spec.n:

@@ -3,8 +3,10 @@
 A ``#`` starts a comment only at the start of a line or after whitespace,
 so ``root_path = runs/exp#3`` keeps its ``#``. The key set is closed: an
 unknown key is an error naming the key and line number, as is a key set
-twice, and commands report missing required keys by name. ``KEYS`` is the
-one table of keys, and ``read`` the one reader of a value.
+twice, and missing required keys are reported by name. ``KEYS`` is the
+one table of keys, ``read`` the one reader of a value, and ``load_config``
+the one reader of a file for every command, so each key a file sets is
+checked against its dataclass bound whichever command runs.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ KEYS = {
     "group_key": _Key("text", None),
     "namespace": _Key("text", _BACKEND["namespace"]),
 }
-KNOWN_KEYS = frozenset(KEYS)
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -82,7 +83,7 @@ def parse_config_file(path) -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"{path}:{line_number}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"{path}:{line_number}: key {key!r} has an empty value")
@@ -141,14 +142,18 @@ def backend_kinds(values: dict[str, str]) -> list[BackendKind]:
         raise ConfigError(str(exc)) from exc
 
 
-def backend_config(values: dict[str, str], kind: BackendKind) -> BackendConfig:
+def backend_configs(values: dict[str, str]) -> list[BackendConfig]:
+    """One BackendConfig per kind that ``backend`` names, in its order."""
     try:
-        return BackendConfig(
-            kind=kind,
-            root_path=read(values, "root_path"),
-            namespace=read(values, "namespace"),
-            fsync=read(values, "fsync"),
-        )
+        return [
+            BackendConfig(
+                kind=kind,
+                root_path=read(values, "root_path"),
+                namespace=read(values, "namespace"),
+                fsync=read(values, "fsync"),
+            )
+            for kind in backend_kinds(values)
+        ]
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -169,10 +174,8 @@ def group_key_from(values: dict[str, str]) -> FernetKey:
 
 
 def experiment_config(values: dict[str, str]) -> ExperimentConfig:
-    """Build a full ExperimentConfig; raises ConfigError naming any bad key."""
-    kinds = backend_kinds(values)
-    if len(kinds) != 1:
-        raise ConfigError("key 'backend' must name exactly one backend for this command")
+    """An ExperimentConfig over the first backend named; ConfigError names any bad key."""
+    backend = backend_configs(values)[0]
     dataset = parse_dataset_spec(read(values, "dataset"), values)
     n_clients = read(values, "n_clients")
     # IDX sizes are known only once the files load.
@@ -192,10 +195,20 @@ def experiment_config(values: dict[str, str]) -> ExperimentConfig:
             n_clients=n_clients,
             rounds=read(values, "rounds"),
             train=train,
-            backend=backend_config(values, kinds[0]),
+            backend=backend,
             group_key=group_key_from(values),
             dataset=dataset,
             seed=seed,
         )
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def load_config(path) -> tuple[ExperimentConfig, list[BackendConfig]]:
+    """Read a config file; raises ConfigError naming any bad key.
+
+    Returns its experiment and one BackendConfig per kind that ``backend``
+    names, the first of which is the experiment's.
+    """
+    values = parse_config_file(path)
+    return experiment_config(values), backend_configs(values)

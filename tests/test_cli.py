@@ -5,6 +5,7 @@ import pytest
 
 from ddfl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, conformance_exit_code, main
 from ddfl.conformance import PropertyResult
+from ddfl.crypto import generate_key
 from test_data import write_idx_pair
 
 
@@ -91,6 +92,49 @@ def test_run_unknown_key_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE + "surprise = 1\n")
     assert main(["run", cfg]) == EXIT_CONFIG
     assert "surprise" in capsys.readouterr().err
+
+
+def test_run_needs_exactly_one_backend(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE.replace("backend = memory", "backend = memory,queue"))
+    assert main(["run", cfg]) == EXIT_CONFIG
+    assert "key 'backend' must name exactly one backend" in capsys.readouterr().err
+
+
+CONFIG_COMMANDS = {
+    "run": ["run"],
+    "bench-query": ["bench-query", "--records", "1", "--payload-bytes", "8"],
+    "bench-comm": ["bench-comm"],
+    "bench-scale": ["bench-scale", "--clients", "1"],
+}
+BAD_LINES = {
+    "n_clients": "n_clients = 0",
+    "rounds": "rounds = 0",
+    "epochs": "epochs = -1",
+    "batch_size": "batch_size = 0",
+    "learning_rate": "learning_rate = -5",
+    "seed": "seed = -1",
+    "dataset": None,
+}
+
+
+@pytest.mark.parametrize("key", BAD_LINES)
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_every_config_command_checks_every_key(command, key, tmp_path, capsys):
+    """A file that ``run`` refuses, every bench command refuses too, naming the key."""
+    lines = [line for line in BASE.splitlines() if not line.startswith(f"{key} =")]
+    if BAD_LINES[key] is not None:
+        lines.append(BAD_LINES[key])
+    name, *options = CONFIG_COMMANDS[command]
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert main([name, cfg, *options]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_bench_comm_with_group_key_checks_seed(tmp_path, capsys):
+    text = BASE.replace("seed = 7", "seed = -1")
+    text += f"group_key = {generate_key(rng_seed=0).encoded()}\n"
+    assert main(["bench-comm", write_config(tmp_path, text)]) == EXIT_CONFIG
+    assert "seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
