@@ -50,6 +50,8 @@ _OVERHEAD = 1 + 8 + 16 + 32
 _URLSAFE = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
 # Marks a byte pair with a byte outside _URLSAFE; valid pairs hold 12 bits.
 _BAD_PAIR = 0xFFFF
+# Quanta that _decode_canonical maps per lookup: an index copy of 0.5 MB.
+_DECODE_QUANTA = 1 << 15
 
 
 def _pair_table() -> np.ndarray:
@@ -179,13 +181,31 @@ def _decode_canonical(token: bytes) -> memoryview:
     token, and mapped through ``_PAIRS``, whose one maximum rejects any pair
     with a byte outside the alphabet. The mapped pairs, viewed as one
     ``first | second << 16`` word per quantum, are split into 3 bytes with
-    shifts. The decoded bytes come back as a view of one array.
+    shifts. The body is mapped ``_DECODE_QUANTA`` quanta at a time, since
+    the lookup copies its indices as ``intp``, 4 times the bytes it reads.
+    The decoded bytes come back as a writable view of one array.
     """
     if not token or len(token) % 4:
         raise TokenFormatError(f"token length {len(token)} is not a positive multiple of 4")
-    mapped = _PAIRS.take(np.frombuffer(token, "<u2", count=len(token) // 2 - 2))
-    if mapped.max(initial=0) == _BAD_PAIR:
-        raise TokenFormatError("token body is not url-safe base64")
+    pairs = np.frombuffer(token, "<u2", count=len(token) // 2 - 2)
+    body = len(pairs) // 2 * 3
+    # Room for the longest tail; the view returned ends at the real one.
+    data = np.empty(body + 3, np.uint8)
+    for start in range(0, len(pairs), 2 * _DECODE_QUANTA):
+        mapped = _PAIRS.take(pairs[start : start + 2 * _DECODE_QUANTA])
+        if mapped.max() == _BAD_PAIR:
+            raise TokenFormatError("token body is not url-safe base64")
+        words = mapped.view("<u4")
+        quanta = data[start // 2 * 3 : (start // 2 + len(words)) * 3].reshape(-1, 3)
+        # A quantum's 24 bits are first << 12 | second, so its bytes are
+        # first >> 4, (first & 0xF) << 4 | second >> 8 and second & 0xFF. Row
+        # i of word_bytes holds the little-endian bytes of words[i]; the
+        # unsafe casts keep the low 8 bits of each shifted word.
+        word_bytes = mapped.view(np.uint8).reshape(-1, 4)
+        np.right_shift(words, 4, out=quanta[:, 0], casting="unsafe")
+        np.left_shift(words, 4, out=quanta[:, 1], casting="unsafe")
+        quanta[:, 1] |= word_bytes[:, 3]
+        quanta[:, 2] = word_bytes[:, 2]
     last = token[-4:]
     try:
         tail = base64.urlsafe_b64decode(last)
@@ -193,20 +213,7 @@ def _decode_canonical(token: bytes) -> memoryview:
         raise TokenFormatError(f"token is not url-safe base64: {exc}") from exc
     if base64.urlsafe_b64encode(tail) != last:
         raise TokenFormatError("token is not canonical base64")
-    words = mapped.view("<u4")
-    body = len(words) * 3
-    data = np.empty(body + len(tail), np.uint8)
-    quanta = data[:body].reshape(-1, 3)
-    # A quantum's 24 bits are first << 12 | second, so its bytes are
-    # first >> 4, (first & 0xF) << 4 | second >> 8 and second & 0xFF. Row i
-    # of word_bytes holds the little-endian bytes of words[i]; the unsafe
-    # casts keep the low 8 bits of each shifted word.
-    word_bytes = mapped.view(np.uint8).reshape(-1, 4)
-    np.right_shift(words, 4, out=quanta[:, 0], casting="unsafe")
-    np.left_shift(words, 4, out=quanta[:, 1], casting="unsafe")
-    quanta[:, 1] |= word_bytes[:, 3]
-    quanta[:, 2] = word_bytes[:, 2]
-    view = memoryview(data)
+    view = memoryview(data)[: body + len(tail)]
     view[body:] = tail
     return view
 
@@ -236,10 +243,12 @@ def decrypt(key: FernetKey, token: bytes | str) -> bytes:
     if len(ciphertext) % _BLOCK:
         raise TokenFormatError("ciphertext length is not a multiple of 16")
     decryptor = Cipher(algorithms.AES(key.encryption_key), modes.CBC(data[9:25])).decryptor()
-    padded = bytearray(len(ciphertext) + _BLOCK - 1)
-    end = decryptor.update_into(ciphertext, padded)
+    # CBC decryption runs in place: OpenSSL accepts an output that starts
+    # where its input does, and the verified tag after the ciphertext gives
+    # update_into the 15 bytes of room beyond its input that it requires.
+    end = 25 + decryptor.update_into(ciphertext, data[25:])
     decryptor.finalize()
-    n = padded[end - 1]
-    if not 1 <= n <= _BLOCK or padded[end - n : end] != bytes([n]) * n:
+    n = data[end - 1]
+    if not 1 <= n <= _BLOCK or data[end - n : end] != bytes([n]) * n:
         raise TokenFormatError("invalid PKCS7 padding")
-    return bytes(memoryview(padded)[: end - n])
+    return bytes(data[25 : end - n])

@@ -16,6 +16,7 @@ fixed seeds; only timings vary.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import time
 from dataclasses import dataclass, replace
@@ -31,6 +32,11 @@ from .store import ModelRecord, ModelStore, StoreKey, global_key, now_ms
 from .training import TrainConfig, evaluate, local_train
 
 log = logging.getLogger(__name__)
+
+# Parameters that aggregate sums per block, and bytes that its ordering
+# compares per step: each bounds a temporary well below a model's size.
+_AGGREGATE_BLOCK = 1 << 16
+_COMPARE_BYTES = 1 << 16
 
 
 # Clients are always weighted by their sample counts, and the master reads
@@ -91,12 +97,29 @@ def client_seed(base_seed: int, round_number: int, client_id: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _compare_bytes(a: np.ndarray, b: np.ndarray) -> int:
+    """``a.tobytes()`` compared with ``b.tobytes()`` (-1, 0 or 1), for equal sizes.
+
+    Compares ``_COMPARE_BYTES`` bytes at a time, so it copies neither array.
+    """
+    a, b = a.view(np.uint8), b.view(np.uint8)
+    for start in range(0, len(a), _COMPARE_BYTES):
+        block = slice(start, start + _COMPARE_BYTES)
+        differ = np.flatnonzero(a[block] != b[block])
+        if len(differ):
+            at = start + differ[0]
+            return -1 if a[at] < b[at] else 1
+    return 0
+
+
 def aggregate(models: list[ParameterVector], weights: list[float]) -> ParameterVector:
     """Weighted mean of parameter vectors: (sum w_i * M_i) / (sum w_i).
 
-    Accumulates in float64 over a canonical input ordering, then rounds to
-    float32, so jointly permuting (models, weights) cannot change a bit of
-    the output.
+    Accumulates in float64 over a canonical input ordering, by weight and
+    then by the values' bytes, then rounds to float32, so jointly permuting
+    (models, weights) cannot change a bit of the output. The sum runs
+    ``_AGGREGATE_BLOCK`` parameters at a time, so the float64 work holds
+    two blocks, not two models.
     """
     if not models:
         raise ValidationError("cannot aggregate an empty model list")
@@ -111,13 +134,29 @@ def aggregate(models: list[ParameterVector], weights: list[float]) -> ParameterV
         if not (w > 0 and np.isfinite(w)):
             raise ValidationError(f"weights must be positive and finite, got {w}")
 
-    order = sorted(range(len(models)), key=lambda i: (weights[i], models[i].values.tobytes()))
-    acc = np.zeros(models[0].param_count, dtype=np.float64)
+    def canonical(i: int, j: int) -> int:
+        if weights[i] != weights[j]:
+            return -1 if weights[i] < weights[j] else 1
+        return _compare_bytes(models[i].values, models[j].values)
+
+    order = sorted(range(len(models)), key=functools.cmp_to_key(canonical))
     total = 0.0
     for i in order:
-        acc += weights[i] * models[i].values.astype(np.float64)
         total += weights[i]
-    return ParameterVector((acc / total).astype(np.float32), shapes)
+    count = models[0].param_count
+    mean = np.empty(count, np.float32)
+    for start in range(0, count, _AGGREGATE_BLOCK):
+        block = slice(start, min(start + _AGGREGATE_BLOCK, count))
+        acc = np.zeros(block.stop - start, np.float64)
+        term = np.empty_like(acc)
+        for i in order:
+            # dtype= makes the product float64; a Python float alone would
+            # leave it in the values' float32.
+            np.multiply(models[i].values[block], weights[i], out=term, dtype=np.float64)
+            acc += term
+        acc /= total
+        mean[block] = acc
+    return ParameterVector(mean, shapes)
 
 
 def put_model(
@@ -197,23 +236,29 @@ def run_round(
     if len(records) != cfg.n_clients:
         present = {rec.key.client_id for rec in records}
         raise BarrierTimeoutError(round_number, sorted(set(range(cfg.n_clients)) - present))
-    previous = store.get(global_key(round_number - 1))
-    models = [model_of(rec, cfg.group_key) for rec in records]
     weights = [float(shard_sizes[rec.key.client_id]) for rec in records]
+    per_client_train_ms = tuple(rec.elapsed_ms or 0.0 for rec in records)
+    client_bytes = sum(len(rec.payload) for rec in records)
+    previous_bytes = len(store.get(global_key(round_number - 1)).payload)
+    # Each token goes as soon as it is decrypted, so a disk backend's N
+    # token copies and the N models are never all alive at once.
+    models = []
+    while records:
+        models.append(model_of(records.pop(0), cfg.group_key))
     new_global = aggregate(models, weights)
+    del models  # the publish below needs none of them
     result = evaluate(new_global, test_set)
     round_wall_ms = (time.perf_counter() - start) * 1000.0
     global_bytes = put_model(
         store, cfg.group_key, global_key(round_number), new_global, result.accuracy, round_wall_ms
     )
-    client_bytes = sum(len(rec.payload) for rec in records)
     return RoundOutcome(
         round=round_number,
         global_accuracy=result.accuracy,
         round_wall_ms=round_wall_ms,
-        per_client_train_ms=tuple(rec.elapsed_ms or 0.0 for rec in records),
+        per_client_train_ms=per_client_train_ms,
         bytes_written=client_bytes + global_bytes,
-        bytes_read=cfg.n_clients * len(previous.payload) + client_bytes,
+        bytes_read=cfg.n_clients * previous_bytes + client_bytes,
     )
 
 

@@ -9,8 +9,9 @@ gradient: ``local_train`` calls it on each mini-batch and
 gradient that the finite-difference checks verify. Local SGD gathers each
 mini-batch's float32 rows and only then converts them to float64, which is
 exact, so no float64 copy of a whole shard is made. It updates ``W`` and
-``b`` as views into one float64 copy of the flat parameter vector, and
-each step rounds that copy through one float32 copy, which is the result.
+``b`` as views into one float64 copy of the flat parameter vector, writes
+each gradient into one float64 buffer of the same layout, and each step
+rounds that copy through one float32 copy, which is the result.
 ``evaluate`` computes only the accuracy, from one float32 product. With a
 fixed seed the batch order, and therefore every parameter bit, is
 reproducible.
@@ -71,13 +72,18 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 
 def _softmax_cross_entropy(
-    x: np.ndarray, y: np.ndarray, w: np.ndarray, b: np.ndarray
+    x: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    b: np.ndarray,
+    grad_w: np.ndarray | None = None,
+    grad_b: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean softmax cross-entropy of rows ``x`` with labels ``y``, and its gradient.
 
-    All operands are float64; returns ``(loss, grad_w, grad_b)``. A
-    non-finite loss is returned, not raised, so callers can report where
-    it occurred.
+    All operands are float64; returns ``(loss, grad_w, grad_b)``, written
+    into ``grad_w`` and ``grad_b`` when they are given. A non-finite loss
+    is returned, not raised, so callers can report where it occurred.
     """
     m = len(y)
     scores = x @ w
@@ -89,7 +95,7 @@ def _softmax_cross_entropy(
         loss = float(-np.log(probs[rows, y]).mean())
     probs[rows, y] -= 1.0
     probs /= m
-    return loss, x.T @ probs, probs.sum(axis=0)
+    return loss, np.matmul(x.T, probs, out=grad_w), probs.sum(axis=0, out=grad_b)
 
 
 def loss_and_gradient(params: ParameterVector, data: Dataset) -> tuple[float, np.ndarray]:
@@ -119,29 +125,31 @@ def local_train(params: ParameterVector, data: Dataset, cfg: TrainConfig) -> Par
     rng = np.random.default_rng(cfg.seed)
     # Each step rounds ``values`` through ``values32``, the result, so the
     # float64 copy always holds the float32 parameter bits, converted once
-    # per step instead of once per use. ``w`` and ``b`` are views into it.
+    # per step instead of once per use. ``w`` and ``b`` are views into it,
+    # and the gradient is written into views of one buffer of its layout.
     values32 = params.values.copy()
     values = values32.astype(np.float64)
+    grad = np.empty_like(values)
     ((d, k),) = params.shapes
     w = values[: d * k].reshape(d, k)
     b = values[d * k :]
+    grad_w = grad[: d * k].reshape(d, k)
+    grad_b = grad[d * k :]
     lr = float(cfg.learning_rate)
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            loss, grad_w, grad_b = _softmax_cross_entropy(
-                data.features[idx].astype(np.float64), data.labels[idx], w, b
+            loss, _, _ = _softmax_cross_entropy(
+                data.features[idx].astype(np.float64), data.labels[idx], w, b, grad_w, grad_b
             )
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}"
                 )
-            grad_w *= lr
-            grad_b *= lr
-            w -= grad_w
-            b -= grad_b
+            grad *= lr
+            values -= grad
             np.copyto(values32, values, casting="same_kind")
             np.copyto(values, values32)
         if not np.all(np.isfinite(values)):

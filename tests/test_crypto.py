@@ -1,15 +1,18 @@
 import base64
 import binascii
+import hmac
 import itertools
 
 import numpy as np
 import pytest
 from cryptography.fernet import Fernet as ReferenceFernet
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddfl.crypto import (
     _BAD_PAIR,
+    _DECODE_QUANTA,
     _PAIRS,
     FernetKey,
     _decode_canonical,
@@ -399,3 +402,52 @@ def test_large_token_rejects_one_bad_byte(model_bound_blob, where, byte):
     mutated[position] = byte[0]
     with pytest.raises(TokenFormatError):
         decrypt(key, bytes(mutated))
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_decoder_agrees_with_stdlib_across_block_edges(blocks, delta):
+    # Bodies of one quantum less than, exactly and one more than 1, 2 and 3
+    # decode blocks, each before every tail length.
+    rng = np.random.default_rng(3 * blocks + delta)
+    body_quanta = blocks * _DECODE_QUANTA + delta
+    for tail_bytes in (1, 2, 3):
+        token = base64.urlsafe_b64encode(rng.bytes(3 * body_quanta + tail_bytes))
+        assert len(token) == 4 * (body_quanta + 1)
+        assert bytes(_decode_canonical(token)) == base64.urlsafe_b64decode(token)
+
+
+@pytest.mark.parametrize("symbol", [0, 1])
+@pytest.mark.parametrize("block", [2, 3], ids=["middle-block", "last-block"])
+def test_plus_in_the_last_pair_of_a_decode_block_rejected(block, symbol):
+    # A body of exactly 3 blocks; the pair ends where block `block` does.
+    token = bytearray(base64.urlsafe_b64encode(bytes(9 * _DECODE_QUANTA + 1)))
+    token[4 * block * _DECODE_QUANTA - 2 + symbol] = ord("+")
+    with pytest.raises(TokenFormatError, match="token body is not url-safe base64"):
+        _decode_canonical(bytes(token))
+
+
+def token_ending_in(key: FernetKey, last_block: bytes) -> bytes:
+    """A token with a valid tag whose decrypted last block is ``last_block``."""
+    iv = bytes(16)
+    encryptor = Cipher(algorithms.AES(key.encryption_key), modes.CBC(iv)).encryptor()
+    ciphertext = encryptor.update(b"m" * 32 + last_block) + encryptor.finalize()
+    raw = bytes([0x80]) + (1_000).to_bytes(8, "big") + iv + ciphertext
+    return base64.urlsafe_b64encode(raw + hmac.new(key.signing_key, raw, "sha256").digest())
+
+
+@pytest.mark.parametrize(
+    "last_block",
+    [
+        b"x" * 15 + b"\x00",
+        b"x" * 15 + b"\x11",
+        b"x" * 14 + b"\x01\x02",
+        b"x" * 12 + b"\x03\x04\x04\x04",
+    ],
+    ids=["zero", "seventeen", "two-after-one", "four-after-three"],
+)
+def test_bad_padding_rejected_after_the_in_place_decrypt(last_block):
+    key = generate_key(rng_seed=23)
+    assert decrypt(key, token_ending_in(key, b"x" * 14 + b"\x02\x02")) == b"m" * 32 + b"x" * 14
+    with pytest.raises(TokenFormatError, match="invalid PKCS7 padding"):
+        decrypt(key, token_ending_in(key, last_block))

@@ -1,4 +1,4 @@
-"""Peak-memory bounds for data generation, the split, local SGD and the memory store.
+"""Peak-memory bounds for data generation, the split, local SGD, the stores and a round.
 
 numpy reports its buffers to ``tracemalloc``, so the traced peak above the
 starting point measures every array a call allocates, however short-lived.
@@ -8,17 +8,21 @@ import tracemalloc
 
 import numpy as np
 
-from ddfl.backends import BackendConfig, BackendKind
-from ddfl.crypto import generate_key
+from ddfl.backends import BackendConfig, BackendKind, open_backend
+from ddfl.crypto import decrypt, encrypt, generate_key
 from ddfl.data import generate_synthetic, partition
 from ddfl.orchestrator import (
     ExperimentConfig,
     IdxSpec,
     SyntheticSpec,
+    aggregate,
     build_datasets,
+    put_model,
     run_experiment,
+    run_round,
 )
-from ddfl.params import init_model
+from ddfl.params import init_model, serialize_params
+from ddfl.store import StoreKey, global_key
 from ddfl.training import TrainConfig, local_train
 from test_data import write_idx_pair
 
@@ -119,3 +123,56 @@ def test_memory_store_holds_one_round_of_client_records():
     assert 90_000 < token_bytes < 110_000
     _, peak_8 = memory_run_peak_growth(8)
     assert peak_8 - peak_2 < 7 * token_bytes, (peak_8 - peak_2) / token_bytes
+
+
+# The model-bound benchmark's layer: a 1.64 MB model in a 2.18 MB token.
+MODEL_SHAPE = (8192, 50)
+MODEL_BYTES = (8192 * 50 + 50) * np.dtype(np.float32).itemsize
+
+
+def test_decrypt_peak_below_3_plaintexts():
+    # The body is decoded a block at a time into one buffer, which is then
+    # decrypted in place; the plaintext returned is the one other copy.
+    key = generate_key(rng_seed=0)
+    plaintext = serialize_params(init_model([MODEL_SHAPE], seed=0))
+    token = encrypt(key, plaintext)
+    result, peak = traced_peak_growth(lambda: decrypt(key, token))
+    assert result == plaintext
+    assert peak < 3 * len(plaintext), peak / len(plaintext)
+
+
+def test_aggregate_of_8_models_peak_below_4_models():
+    # The canonical order compares values a block at a time, with no
+    # tobytes() keys, and the float64 sum runs over blocks of parameters.
+    models = [init_model([MODEL_SHAPE], seed=s) for s in range(8)]
+    mean, peak = traced_peak_growth(lambda: aggregate(models, [float(s + 1) for s in range(8)]))
+    assert mean.values.nbytes == MODEL_BYTES
+    assert peak < 4 * MODEL_BYTES, peak / MODEL_BYTES
+
+
+def test_run_round_peak_below_its_tokens_plus_3_models(tmp_path):
+    # A disk store hands the master each client token as fresh bytes. Each
+    # is dropped once decrypted, and a model is smaller than its token, so
+    # the round holds at most the N tokens and about two more models: the
+    # previous global is measured, not kept.
+    n_clients = 8
+    cfg = ExperimentConfig(
+        n_clients=n_clients,
+        rounds=1,
+        train=TrainConfig(learning_rate=0.1, epochs=1, batch_size=8, seed=0),
+        backend=BackendConfig(kind=BackendKind.FILESYSTEM, root_path=tmp_path),
+        group_key=generate_key(rng_seed=0),
+        dataset=SyntheticSpec(n=64, d=MODEL_SHAPE[0], k=MODEL_SHAPE[1], test_n=64),
+        seed=0,
+    )
+    test_set = generate_synthetic(64, *MODEL_SHAPE, seed=1)
+    with open_backend(cfg.backend) as store:
+        token_bytes = put_model(store, cfg.group_key, global_key(0), init_model([MODEL_SHAPE], 0))
+        for client in range(n_clients):
+            model = init_model([MODEL_SHAPE], seed=client + 1)
+            put_model(store, cfg.group_key, StoreKey(client, 1), model)
+        outcome, peak = traced_peak_growth(
+            lambda: run_round(1, store, cfg, test_set, [10] * n_clients)
+        )
+    assert outcome.bytes_written == (n_clients + 1) * token_bytes
+    assert peak < n_clients * token_bytes + 3 * MODEL_BYTES, peak / MODEL_BYTES

@@ -112,6 +112,42 @@ def test_aggregate_matches_bruteforce_oracle():
         assert rel.max() < 1e-6  # f32 rounding of the f64 mean
 
 
+def tobytes_keyed_aggregate(models, weights):
+    """The reference ``aggregate``: each model's bytes copied into a sort key,
+    and one float64 sum over whole models."""
+    weights = [float(w) for w in weights]
+    order = sorted(range(len(models)), key=lambda i: (weights[i], models[i].values.tobytes()))
+    acc = np.zeros(models[0].param_count, dtype=np.float64)
+    total = 0.0
+    for i in order:
+        acc += weights[i] * models[i].values.astype(np.float64)
+        total += weights[i]
+    return (acc / total).astype(np.float32)
+
+
+@pytest.mark.parametrize("weights", [[2.0] * 7, [1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0]])
+def test_aggregate_matches_the_tobytes_keyed_order_past_one_compare_block(weights):
+    # Models equal through the first 64 KiB of values or more, so only a
+    # later compare block orders them, plus an exact duplicate. Their tails
+    # mix +-1e20 with small integers, which the float64 sum absorbs or keeps
+    # depending on its order, so a wrong order changes bits of the float32
+    # mean. 150,001 values span three blocks of the float64 sum.
+    rng = np.random.default_rng(11)
+    size = 150_001
+    first_block = 65_536 // 4
+    base = rng.normal(size=size).astype(np.float32)
+    models = [_vec(base)]
+    for start in (first_block, first_block, first_block + 1, 2 * first_block, size - 2):
+        values = base.copy()
+        values[start:] = rng.choice([-1e20, 1e20, 1.0, 2.0, 3.0], size=size - start)
+        models.append(_vec(values))
+    models.append(models[2])
+    expected = tobytes_keyed_aggregate(models, weights)
+    for perm in [range(7), range(6, -1, -1), *(rng.permutation(7) for _ in range(5))]:
+        got = aggregate([models[i] for i in perm], [weights[i] for i in perm])
+        assert got.values.tobytes() == expected.tobytes()
+
+
 def test_aggregate_validation():
     with pytest.raises(ValidationError):
         aggregate([], [])
